@@ -2,7 +2,9 @@
 
 A record's key hashes the command, its parameters, the prime, the seed and
 the tool version, so a replay is byte-for-byte the original result.  The
-file is only ever appended to; on duplicate keys the first record wins.
+file is only ever appended to; on duplicate keys the first record wins.  A
+line that does not decode, such as one cut short by a killed run, is skipped
+with a warning, and the next append starts on a fresh line.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from pathlib import Path
 
 
@@ -35,14 +38,21 @@ class ResultCache:
     def _load(self) -> dict[str, dict]:
         if self._index is None:
             self._index = {}
+            skipped = 0
             if self.path.exists():
                 with open(self.path, "r", encoding="utf-8") as fh:
                     for line in fh:
                         line = line.strip()
                         if not line:
                             continue
-                        entry = json.loads(line)
+                        try:
+                            entry = json.loads(line)
+                        except json.JSONDecodeError:
+                            skipped += 1
+                            continue
                         self._index.setdefault(entry["key"], entry["record"])
+            if skipped:
+                print(f"warning: skipped {skipped} undecodable line(s) in {self.path}", file=sys.stderr)
         return self._index
 
     def get(self, key: str) -> dict | None:
@@ -52,6 +62,13 @@ class ResultCache:
 
     def put(self, key: str, record: dict) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps({"key": key, "record": record}, sort_keys=True) + "\n")
+        line = json.dumps({"key": key, "record": record}, sort_keys=True) + "\n"
+        with open(self.path, "a+b") as fh:
+            end = fh.seek(0, os.SEEK_END)
+            if end:
+                fh.seek(end - 1)
+                if fh.read(1) != b"\n":
+                    # The last append was cut short: start a fresh line.
+                    line = "\n" + line
+            fh.write(line.encode("utf-8"))
         self._load().setdefault(key, record)

@@ -20,7 +20,7 @@ from . import __version__, induction
 from .cache import ResultCache, cache_key
 from .codes import graham_sloane_bounds, lexicode_greedy
 from .extalg import parse_tensor
-from .fieldcore import DEFAULT_PRIME, validate_prime
+from .fieldcore import DEFAULT_PRIME, KERNEL, validate_prime
 from .gr26 import classify, demo_gr28, demo_gr37, figure1_table, five_term_identity
 from .terracini import (
     CertificateUnavailable,
@@ -68,7 +68,9 @@ def _run_cached(config: RunConfig, command: str, parameters: dict, prime: int, c
         "seed": config.seed,
         "version": __version__,
     }
-    key = cache_key(payload)
+    # The kernel tag is hashed but not stored: a record computed by another
+    # elimination kernel is never replayed.
+    key = cache_key(dict(payload, kernel=KERNEL))
     if config.read_cache:
         hit = config.cache.get(key)
         if hit is not None:

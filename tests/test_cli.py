@@ -3,6 +3,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from grsecant import __version__
+from grsecant.cache import cache_key
 from grsecant.cli import main
 from grsecant.extalg import format_tensor
 from grsecant.gr26 import fano_tensor
@@ -42,6 +44,16 @@ class TestCheck:
         result = runner.invoke(main, ["--prime", "32001", "check", "-k", "2", "-n", "6", "-s", "3"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args", [["check", "-k", "2", "-n", "6", "-s", "3"], ["conjecture-table"]])
+    @pytest.mark.parametrize("flag", ["--prime", "--second-prime"])
+    def test_prime_above_exact_bound(self, runner, tmp_path, flag, args):
+        # Above MAX_PRIME float64 elimination is not exact; at this prime the
+        # defective sigma_3 Gr(2,6) once came out CertifiedFills.
+        result = invoke(runner, tmp_path, flag, "1099511627791", *args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "MAX_PRIME" in result.output
+
     def test_second_prime_runs_both(self, runner, tmp_path):
         result = invoke(
             runner, tmp_path, "--second-prime", "46337", "check", "-k", "2", "-n", "6", "-s", "3"
@@ -74,6 +86,43 @@ class TestCache:
         assert len(cache_file.read_text().splitlines()) == 2
         a, b = json.loads(first.output), json.loads(fresh.output)
         assert a["result"] == b["result"]
+
+    def test_torn_line_is_skipped_with_warning(self, runner, tmp_path):
+        args = ["--json", "check", "-k", "2", "-n", "6", "-s", "3"]
+        first = invoke(runner, tmp_path, *args)
+        cache_file = tmp_path / "cache" / "results.jsonl"
+        with open(cache_file, "a") as fh:
+            fh.write('{"key": "0123", "record": {"comm')  # a killed append
+        replay = invoke(runner, tmp_path, *args)
+        assert replay.exit_code == 0
+        assert replay.stdout == first.stdout
+        assert "skipped 1 undecodable line(s)" in replay.stderr
+        # The next append starts on a fresh line and is replayed afterwards.
+        fresh = invoke(runner, tmp_path, "--json", "check", "-k", "2", "-n", "9", "-s", "5")
+        assert fresh.exit_code == 0
+        lines = cache_file.read_text().splitlines()
+        assert len(lines) == 3 and json.loads(lines[-1])["key"]
+        again = invoke(runner, tmp_path, "--json", "check", "-k", "2", "-n", "9", "-s", "5")
+        assert again.stdout == fresh.stdout
+        assert len(cache_file.read_text().splitlines()) == 3
+
+    def test_key_without_kernel_tag_is_not_replayed(self, runner, tmp_path):
+        # A record keyed without the kernel tag, as before the float64 kernel,
+        # claiming the false certificate once computed at an unsafe prime.
+        payload = {
+            "command": "probe",
+            "parameters": {"k": 2, "n": 6, "s": 3, "strategy": "auto", "trials": 3},
+            "prime": 32003,
+            "seed": 0,
+            "version": __version__,
+        }
+        stale = dict(payload, result={"verdict": "CertifiedFills", "achieved": 35, "expected": 35, "ambient": 35})
+        cache_file = tmp_path / "cache" / "results.jsonl"
+        cache_file.parent.mkdir()
+        cache_file.write_text(json.dumps({"key": cache_key(payload), "record": stale}) + "\n")
+        result = invoke(runner, tmp_path, "check", "-k", "2", "-n", "6", "-s", "3")
+        assert result.exit_code == 0
+        assert "InconclusiveDeficit" in result.output and "achieved 34 / expected 35" in result.output
 
     def test_scan_reuses_probe_records(self, runner, tmp_path):
         invoke(runner, tmp_path, "check", "-k", "2", "-n", "9", "-s", "5")

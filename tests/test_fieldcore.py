@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grsecant.fieldcore import (
+    BLOCK_ROWS,
     DEFAULT_PRIME,
+    GEMM_DEPTH,
+    MAX_PRIME,
     SECOND_PRIME,
     NotACube,
     cube_root_mod_p,
@@ -16,6 +19,8 @@ from grsecant.fieldcore import (
     rank_mod_p,
     validate_prime,
 )
+from grsecant.terracini import SecantProblem, Verdict, probe
+from oracle import rank_mod_p_reference
 
 
 def cofactor_det(m):
@@ -69,6 +74,100 @@ class TestRankModP:
             assert rank_mod_p(A, DEFAULT_PRIME) <= rank_exact(A)
 
 
+KERNEL_PRIMES = (3, 7, 32003, 46337, MAX_PRIME)
+
+
+def _low_rank(rng, m, n, r, p):
+    return rng.integers(0, p, size=(m, r)) @ rng.integers(0, p, size=(r, n)) % p
+
+
+def _unit_rich(rng, m, n, p):
+    """Mostly scaled unit rows, some repeated, plus a few dense rows."""
+    A = np.zeros((m, n), dtype=np.int64)
+    A[np.arange(m), rng.integers(0, n, size=m)] = rng.integers(1, p, size=m)
+    dense = rng.random(m) < 0.2
+    A[dense] = rng.integers(0, p, size=(int(dense.sum()), n))
+    return A
+
+
+MATRIX_KINDS = {
+    "dense": lambda rng, m, n, p: rng.integers(0, p, size=(m, n)),
+    "sparse": lambda rng, m, n, p: rng.integers(0, p, size=(m, n)) * (rng.random((m, n)) < 0.05),
+    "unit-rows": _unit_rich,
+    "deficient": lambda rng, m, n, p: _low_rank(rng, m, n, max(1, min(m, n) // 2), p),
+}
+
+
+class TestEchelonKernel:
+    """Differential tests of the blocked kernel against the column-loop oracle."""
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    @pytest.mark.parametrize("kind", sorted(MATRIX_KINDS))
+    @pytest.mark.parametrize("shape", [(40, 150), (150, 40), (90, 90)], ids=["wide", "tall", "square"])
+    def test_matches_oracle(self, p, kind, shape):
+        rng = np.random.default_rng([p, len(kind), *shape])
+        A = MATRIX_KINDS[kind](rng, *shape, p)
+        assert rank_mod_p(A, p) == rank_mod_p_reference(A, p)
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    @pytest.mark.parametrize("m", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+    def test_block_boundaries(self, p, m):
+        rng = np.random.default_rng([p, m])
+        for A in (
+            rng.integers(0, p, size=(m, 3 * BLOCK_ROWS)),
+            _low_rank(rng, m, 3 * BLOCK_ROWS, BLOCK_ROWS - 2, p),
+            np.vstack([_low_rank(rng, m, 70, 30, p), rng.integers(0, p, size=(5, 70))]),
+        ):
+            assert rank_mod_p(A, p) == rank_mod_p_reference(A, p)
+
+    def test_gemm_slices_at_max_prime(self):
+        # A basis [I | (p-2)] of an odd number r > GEMM_DEPTH of rows, then
+        # (p-2) times the sum of the basis rows.  Reducing that row sums r odd
+        # products (p-2)**2: an odd total past 2**53 unless the GEMM is
+        # sliced.  A rounded sum leaves a nonzero remainder, a false pivot.
+        p = MAX_PRIME
+        r, t = GEMM_DEPTH + 89, 4
+        basis = np.hstack([np.eye(r, dtype=np.int64), np.full((r, t), p - 2, dtype=np.int64)])
+        dependent = (p - 2) * basis.sum(axis=0) % p
+        A = np.vstack([basis, dependent])
+        assert rank_mod_p(A, p) == rank_mod_p_reference(A, p) == r
+
+    def test_worst_case_entries(self):
+        for p in KERNEL_PRIMES:
+            A = np.full((BLOCK_ROWS + 5, 2 * BLOCK_ROWS), p - 1, dtype=np.int64)
+            A[np.arange(BLOCK_ROWS + 5), np.arange(BLOCK_ROWS + 5)] = 1
+            assert rank_mod_p(A, p) == rank_mod_p_reference(A, p)
+
+    def test_input_forms_and_reduction(self):
+        big = [[10**30 + 1, 2], [3, -(10**25)]]
+        p = 32003
+        assert rank_mod_p(np.array(big, dtype=object), p) == rank_mod_p_reference(np.array(big, dtype=object), p)
+        assert rank_mod_p([[-1, -2], [1, 2]], 7) == 1
+        A = np.arange(12).reshape(3, 4)
+        rank_mod_p(A, 5)
+        assert A.tolist() == np.arange(12).reshape(3, 4).tolist()  # input untouched
+
+    def test_empty_shapes(self):
+        assert rank_mod_p(np.zeros((0, 5), dtype=np.int64)) == 0
+        assert rank_mod_p(np.zeros((4, 0), dtype=np.int64)) == 0
+        assert det_mod_p(np.zeros((0, 0), dtype=np.int64)) == 1
+
+    def test_rejects_unsafe_modulus(self):
+        with pytest.raises(ValueError):
+            rank_mod_p(np.eye(3, dtype=np.int64), 1099511627791)
+        with pytest.raises(ValueError):
+            det_mod_p(np.eye(3, dtype=np.int64), MAX_PRIME + 2)
+
+    @pytest.mark.parametrize(
+        "k, n, s, achieved, expected",
+        [(2, 6, 3, 34, 35), (3, 7, 3, 50, 51), (3, 7, 4, 64, 68), (2, 8, 4, 74, 76)],
+    )
+    def test_defective_cases_at_max_prime(self, k, n, s, achieved, expected):
+        v = probe(SecantProblem(k=k, n=n, s=s, prime=MAX_PRIME))
+        assert v.verdict is Verdict.INCONCLUSIVE_DEFICIT
+        assert (v.achieved_rank, v.expected_rank) == (achieved, expected)
+
+
 class TestDetExact:
     def test_two_by_two(self):
         assert det_exact([[1, 2], [3, 4]]) == -2
@@ -98,6 +197,32 @@ class TestDetExact:
         for _ in range(50):
             m = rng.integers(-9, 10, size=(5, 5))
             assert det_mod_p(m, DEFAULT_PRIME) == det_exact(m) % DEFAULT_PRIME
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_det_mod_p_across_blocks(self, p):
+        # M = P L U with P a row permutation, L unit lower and U upper
+        # triangular: det M = sign(P) * prod(diag U), sizes past one block.
+        rng = np.random.default_rng(p)
+        for size in (1, 2, 7, BLOCK_ROWS + 3):
+            L = np.tril(rng.integers(0, p, size=(size, size)), -1) + np.eye(size, dtype=np.int64)
+            U = np.triu(rng.integers(0, p, size=(size, size)))
+            U[np.diag_indices(size)] = rng.integers(1, p, size=size)
+            perm = rng.permutation(size)
+            inversions = sum(1 for a in range(size) for b in range(a + 1, size) if perm[a] > perm[b])
+            want = 1
+            for u in np.diag(U):
+                want = want * int(u) % p
+            want = (-want) % p if inversions & 1 else want
+            assert det_mod_p((L @ U % p)[perm], p) == want
+
+    def test_det_mod_p_permutations_and_singular(self):
+        for perm in ([1, 0, 2], [1, 2, 0], [3, 2, 1, 0], [0, 1, 2, 3]):
+            P = np.eye(len(perm), dtype=np.int64)[perm]
+            assert det_mod_p(P, 7) == det_exact(P) % 7
+        assert det_mod_p([[1, 2, 3], [2, 4, 6], [0, 1, 1]], 7) == 0
+        assert det_mod_p([[1, 2], [3, 4]], 7) == (-2) % 7
+        with pytest.raises(ValueError):
+            det_mod_p([[1, 2, 3], [4, 5, 6]], 7)
 
 
 class TestRankExact:
@@ -176,3 +301,16 @@ class TestPrimes:
     def test_composite_rejected(self):
         with pytest.raises(ValueError):
             validate_prime(32001)
+
+    def test_max_prime_is_the_exactness_bound(self):
+        assert is_prime(MAX_PRIME)
+        assert GEMM_DEPTH * (MAX_PRIME - 1) ** 2 + MAX_PRIME < 2**53
+        nxt = next(q for q in range(MAX_PRIME + 1, 2 * MAX_PRIME) if is_prime(q))
+        assert GEMM_DEPTH * (nxt - 1) ** 2 + nxt >= 2**53
+        assert BLOCK_ROWS <= GEMM_DEPTH
+
+    def test_prime_bound(self):
+        assert validate_prime(MAX_PRIME) == MAX_PRIME
+        for p in (MAX_PRIME + 2, 2**31 - 1, 1099511627791):
+            with pytest.raises(ValueError, match="MAX_PRIME"):
+                validate_prime(p)
