@@ -3,8 +3,9 @@
 A record's key hashes the command, its parameters, the prime, the seed and
 the tool version, so a replay is byte-for-byte the original result.  The
 file is only ever appended to; on duplicate keys the first record wins.  A
-line that does not decode, such as one cut short by a killed run, is skipped
-with a warning, and the next append starts on a fresh line.
+line that is not a {"key", "record"} object, such as one cut short by a
+killed run, is skipped with a warning, and the next append starts on a
+fresh line.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ def cache_key(payload: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _is_entry(entry) -> bool:
+    """Whether a decoded line is a {"key": str, "record": dict} object."""
+    return isinstance(entry, dict) and isinstance(entry.get("key"), str) and isinstance(entry.get("record"), dict)
+
+
 class ResultCache:
     def __init__(self, directory: Path | None = None, enabled: bool = True):
         self.directory = Path(directory) if directory else default_cache_dir()
@@ -48,6 +54,8 @@ class ResultCache:
                         try:
                             entry = json.loads(line)
                         except json.JSONDecodeError:
+                            entry = None
+                        if not _is_entry(entry):
                             skipped += 1
                             continue
                         self._index.setdefault(entry["key"], entry["record"])

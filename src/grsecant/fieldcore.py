@@ -1,14 +1,16 @@
 """Exact arithmetic substrate: GF(p) ranks, integer determinants, cube roots.
 
 GF(p) elimination runs in float64, which represents every integer of
-magnitude at most 2**53 exactly.  Entries are kept reduced into [0, p), and
-no value accumulates more than GEMM_DEPTH products of two reduced entries
-before it is reduced again: GEMMs are sliced to that inner depth, and a row
-takes at most BLOCK_ROWS <= GEMM_DEPTH updates inside its block.  So every
-value stays below GEMM_DEPTH * (p-1)**2 + p < 2**53 and is exact through
-the products, the subtractions and the reduction.  MAX_PRIME is the largest
-prime meeting that bound; larger moduli are refused.  Exact work over the
-integers uses Python integers.
+magnitude at most 2**53 exactly.  Every product the kernel forms is of two
+entries reduced into [0, p), and no value takes more than GEMM_DEPTH such
+products between two reductions: the forward substitution of a block
+counts the products its rows have taken (its depth) and reduces the whole
+block before the count would pass GEMM_DEPTH, and inside its block a row
+takes fewer than BLOCK_ROWS <= GEMM_DEPTH products before it is reduced.
+So every value stays below GEMM_DEPTH * (p-1)**2 + p < 2**53 and is exact
+through the products, the subtractions and the reduction.  MAX_PRIME is
+the largest prime meeting that bound; larger moduli are refused.  Exact
+work over the integers uses Python integers.
 """
 
 from __future__ import annotations
@@ -23,14 +25,16 @@ SECOND_PRIME = 46337
 # Exact determinants are only meaningful at pairing-matrix scale.
 MAX_EXACT_DET_SIZE = 64
 
-# Input rows eliminated together by the GF(p) kernel, and the most products
-# one GEMM sums before reducing mod p.  A block row also takes at most
-# BLOCK_ROWS unreduced updates, so BLOCK_ROWS <= GEMM_DEPTH keeps it exact.
+# Input rows eliminated together by the GF(p) kernel, the rows of a block
+# eliminated together inside it, and the most products of reduced entries a
+# value takes before it is reduced mod p.  A row takes fewer than BLOCK_ROWS
+# products inside its block, so BLOCK_ROWS <= GEMM_DEPTH keeps it exact.
 BLOCK_ROWS = 48
+SLICE_ROWS = 8
 GEMM_DEPTH = 512
 # Names the GF(p) kernel in result-cache keys; change it whenever a kernel
 # change could alter a rank.
-KERNEL = "float64-blocked-echelon-1"
+KERNEL = "float64-blocked-echelon-2"
 
 
 class NotACube(ValueError):
@@ -96,74 +100,103 @@ def _float_block(block: np.ndarray, p: int) -> np.ndarray:
     return np.remainder(block.astype(np.int64, copy=False), p).astype(np.float64)
 
 
-def _reduce_against(B: np.ndarray, E: np.ndarray, pivots: list[int], p: int, work: np.ndarray) -> None:
-    """B -= B[:, pivots] @ E over GF(p), for a basis E reduced on its pivots.
+def _forward(
+    B: np.ndarray, E: np.ndarray, blocks: list[tuple[int, int]], pivots: np.ndarray, p: int, work: np.ndarray
+) -> None:
+    """Clear the pivot columns of E from B over GF(p), one block of E at a time.
 
-    E[i, pivots[j]] is 1 when i == j and 0 otherwise, so each GEMM_DEPTH
-    slice of the product clears its own pivot columns and leaves the
-    others alone; reducing after every slice keeps each sum exact.
-    Rows of B without an entry in the pivot columns are not touched.
-    `work` holds two scratch arrays with at least len(B) rows each.
+    Block E[lo:hi] is the identity on its own pivot columns and zero on those
+    of earlier blocks, so B -= B[:, pivots[lo:hi]] @ E[lo:hi] clears its
+    columns and leaves the earlier ones clear; taken in order, the blocks
+    clear them all.  Only the coefficient columns are reduced before each
+    product.  B takes one product of reduced entries per pivot and is
+    reduced whole before that count would pass GEMM_DEPTH.  When most rows
+    have no coefficient in a block, only the others are updated.  `work`
+    holds two scratch arrays with at least len(B) rows each.
     """
-    C = B[:, pivots]
-    hit = C.any(axis=1).nonzero()[0]
-    if hit.size == 0:
-        return
-    whole = hit.size == len(B)
-    sub = B if whole else B[hit]
-    C = C if whole else C[hit]
-    prod, quot = work[0, : len(sub)], work[1, : len(sub)]
-    for lo in range(0, len(pivots), GEMM_DEPTH):
-        sub -= np.matmul(C[:, lo : lo + GEMM_DEPTH], E[lo : lo + GEMM_DEPTH], out=prod)
-        _reduce(sub, p, quot)
-    if not whole:
-        B[hit] = sub
-
-
-def _eliminate_block(B: np.ndarray, p: int, work: np.ndarray) -> list[tuple[int, int, int]]:
-    """Gauss-Jordan elimination of a block in place, row by row.
-
-    Returns (row, pivot column, pivot value before scaling) per independent
-    row, and leaves those rows reduced.  Updates are not reduced: a row takes
-    at most one product per pivot, so its entries stay below
-    len(B) * (p-1)**2 + p; it is reduced when its own turn comes.  When
-    most rows have a nonzero entry in the pivot column, the update goes
-    through `work` and allocates nothing; otherwise only those rows are
-    touched, which keeps blocks of unit rows cheap.
-    """
-    found = []
-    for i in range(len(B)):
-        row = _reduce(B[i], p)
-        nz = row.nonzero()[0]
-        if nz.size == 0:
+    depth = 0
+    prod, quot = work[0, : len(B)], work[1, : len(B)]
+    for lo, hi in blocks:
+        C = _reduce(B[:, pivots[lo:hi]], p)
+        hit = C.any(axis=1).nonzero()[0]
+        if hit.size == 0:
             continue
-        c = int(nz[0])
-        v = int(row[c])
-        row *= pow(v, -1, p)
-        _reduce(row, p)
-        col = _reduce(B[:, c].copy(), p)
-        col[i] = 0
-        hit = col.nonzero()[0]
+        if depth + hi - lo > GEMM_DEPTH:
+            _reduce(B, p, quot)
+            depth = 0
+        depth += hi - lo
         if 2 * hit.size > len(B):
-            B -= np.outer(col, row, out=work[0, : len(B)])
-        elif hit.size:
-            B[hit] -= col[hit, None] * row
-        found.append((i, c, v))
-    for i, _, _ in found:
-        _reduce(B[i], p)
+            B -= np.matmul(C, E[lo:hi], out=prod)
+        else:
+            B[hit] -= C[hit] @ E[lo:hi]
+
+
+def _eliminate_block(B: np.ndarray, E: np.ndarray, r: int, p: int, work: np.ndarray) -> list[tuple[int, int]]:
+    """Gauss-Jordan elimination of a block whose rows are clear of E[:r].
+
+    The independent rows are written, reduced on each other's pivots and
+    scaled to 1 there, to E[r:], in row order.  Rows are eliminated
+    SLICE_ROWS at a time.  A slice is first reduced against the rows found
+    so far (one GEMM), then eliminated row by row with rank-1 updates that
+    touch only the slice, and its new pivots are then cleared from the rows
+    found before it (a second GEMM).  A slice enters reduced and takes
+    fewer than len(B) <= GEMM_DEPTH products before each row is reduced.
+    Returns (pivot column, pivot value before scaling) per independent row.
+    """
+    found: list[tuple[int, int]] = []
+    prod, quot = work[0], work[1]
+    for lo in range(0, len(B), SLICE_ROWS):
+        S = B[lo : lo + SLICE_ROWS]
+        _reduce(S, p, quot[: len(S)])
+        f = len(found)
+        if f:
+            C = S[:, [c for c, _ in found]]
+            if C.any():
+                S -= np.matmul(C, E[r : r + f], out=prod[: len(S)])
+        new = []
+        for i in range(len(S)):
+            row = _reduce(S[i], p)
+            nz = row.nonzero()[0]
+            if nz.size == 0:
+                continue
+            c = int(nz[0])
+            v = int(row[c])
+            row *= pow(v, -1, p)
+            _reduce(row, p)
+            col = _reduce(S[:, c].copy(), p)
+            col[i] = 0
+            hit = col.nonzero()[0]
+            if 2 * hit.size > len(S):
+                S -= np.outer(col, row, out=prod[: len(S)])
+            elif hit.size:
+                S[hit] -= col[hit, None] * row
+            new.append(i)
+            found.append((c, v))
+        if not new:
+            continue
+        N = _reduce(S[new], p)
+        if f:
+            F = E[r : r + f]
+            C = F[:, [c for c, _ in found[f:]]]
+            if C.any():
+                F -= np.matmul(C, N, out=prod[:f])
+                _reduce(F, p, quot[:f])
+        E[r + f : r + len(found)] = N
     return found
 
 
 def _echelon(mat, p: int) -> tuple[list[int], list[int]]:
-    """Blocked incremental reduced echelon form of an integer matrix over GF(p).
+    """Blocked incremental echelon form of an integer matrix over GF(p).
 
-    The basis E (one row per pivot, reduced on every pivot column) grows one
-    block of input rows at a time: the block is reduced against E with
-    GEMMs, eliminated internally, and its new pivots are back-substituted
-    into E, BLOCK_ROWS rows of E at a time.  E and the scratch space are
-    allocated once, and every other temporary has at most BLOCK_ROWS rows.
-    Returns the pivot column and the pivot value (before scaling) of each
-    independent input row, in input-row order.
+    The basis E grows one block of BLOCK_ROWS input rows at a time: the
+    block is cleared of E's pivot columns (_forward), eliminated internally
+    (_eliminate_block), and its independent rows are appended to E as a
+    new block.  Nothing is back-substituted, so E is block triangular: each
+    block is the identity on its own pivot columns and zero on those of
+    earlier blocks.  E and the scratch space are allocated once, and every
+    other temporary has at most BLOCK_ROWS rows.  Returns the pivot column
+    and the pivot value (before scaling) of each independent input row, in
+    input-row order.
     """
     if not 1 < p <= MAX_PRIME:
         raise ValueError(f"modulus {p} outside (1, MAX_PRIME={MAX_PRIME}]; float64 elimination would not be exact")
@@ -172,27 +205,23 @@ def _echelon(mat, p: int) -> tuple[list[int], list[int]]:
         raise ValueError("expected a 2-d matrix")
     m, n = A.shape
     E = np.empty((min(m, n), n))
+    pivots = np.empty(min(m, n), dtype=np.intp)
     work = np.empty((2, min(m, BLOCK_ROWS), n))
-    pivots: list[int] = []
+    blocks: list[tuple[int, int]] = []
     values: list[int] = []
     for lo in range(0, m, BLOCK_ROWS):
-        r = len(pivots)
+        r = len(values)
         if r == n:
             break
         B = _float_block(A[lo : lo + BLOCK_ROWS], p)
-        if r:
-            _reduce_against(B, E[:r], pivots, p, work)
-        found = _eliminate_block(B, p, work)
+        _forward(B, E, blocks, pivots, p, work)
+        found = _eliminate_block(B, E, r, p, work)
         if not found:
             continue
-        N = B[[i for i, _, _ in found]]
-        cols = [c for _, c, _ in found]
-        for top in range(0, r, BLOCK_ROWS):
-            _reduce_against(E[top : min(top + BLOCK_ROWS, r)], N, cols, p, work)
-        E[r : r + len(found)] = N
-        pivots.extend(cols)
-        values.extend(v for _, _, v in found)
-    return pivots, values
+        blocks.append((r, r + len(found)))
+        pivots[r : r + len(found)] = [c for c, _ in found]
+        values.extend(v for _, v in found)
+    return pivots[: len(values)].tolist(), values
 
 
 def rank_mod_p(mat, p: int = DEFAULT_PRIME) -> int:
@@ -270,9 +299,14 @@ def det_exact(mat) -> int:
 def det_mod_p(mat, p: int = DEFAULT_PRIME) -> int:
     """Determinant over GF(p), read off the echelon kernel.
 
-    With every row independent, row i ends as the unit vector of pivot
-    column pivots[i] after scaling by 1/values[i]; only row additions are
-    used otherwise.  So det = prod(values) * sign(i -> pivots[i]).
+    The kernel changes rows in two ways only: it adds a multiple of one row
+    to another, which keeps the determinant, and it scales row i once, by
+    1/values[i].  With every row independent, row i ends as the row of E
+    with pivot column pivots[i]: 1 there, and 0 on the pivot columns of its
+    own block and of earlier blocks.  With its columns taken in the order
+    pivots[0], pivots[1], ... that matrix is block upper triangular with
+    identity diagonal blocks, so its determinant is sign(i -> pivots[i]).
+    Hence det = prod(values) * sign(i -> pivots[i]).
     """
     A = np.asarray(mat)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:

@@ -189,6 +189,32 @@ def frame_rows(rows: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def tangent_basis_rows(rows: np.ndarray, frame: np.ndarray, p: int) -> np.ndarray:
+    """A basis of the tangent space at a point, (k+1)(n-k)+1 rows taken from its frame.
+
+    `frame` is frame_rows(rows, p).  Generator (0, j) replaces row v_0 by
+    e_j, so rows[0] @ frame[:n+1] is the Plücker row v_0 ^ ... ^ v_k; its
+    int64 sum is exact while (n+1)(p-1)**2 < 2**63.  Let J be the
+    (k+1)-subset of its first nonzero coordinate.  Then {v_0..v_k} together
+    with {e_j : j not in J} is a basis of K^{n+1}, so a generator (i, j) with
+    j in J is a multiple of the Plücker row plus generators (i, j') with j'
+    not in J.  The Plücker row and those generators are returned, in that
+    order.  A point of rank below k+1 mod p has a zero Plücker row and keeps
+    its whole frame.
+    """
+    rows = np.asarray(rows, dtype=np.int64) % p
+    d, dim = rows.shape
+    if dim * (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"Plücker row of {dim} columns mod {p} would overflow int64")
+    plucker_row = rows[0] @ frame[:dim] % p
+    nz = np.flatnonzero(plucker_row)
+    if nz.size == 0:
+        return frame
+    free = np.ones(dim, dtype=bool)
+    free[_subset_array(dim, d)[nz[0]]] = False
+    return np.vstack([plucker_row[None], frame.reshape(d, dim, -1)[:, free].reshape(-1, frame.shape[1])])
+
+
 # ---------------------------------------------------------------------------
 # Coordinate-point machinery (monomial technique).
 

@@ -21,7 +21,6 @@ from .terracini import (
     SecantProblem,
     Verdict,
     probe,
-    probe_with_specialization,
 )
 
 MIN_FORMULA_N = 9
@@ -204,7 +203,7 @@ def _run_config(
         point_constraints=tuple(constraints),
         extra_spans=spans,
     )
-    verdict = probe_with_specialization(problem, target)
+    verdict = probe(problem, target_rank=target)
     amb = ambient(n)
     return PropCheck(
         prop=prop,

@@ -1,11 +1,12 @@
 """Secant-dimension probes for Gr(k,n) by stacked tangent frames over GF(p).
 
-A probe draws s random points, stacks all tangent-frame generators (plus
-basis rows of any requested coordinate spans) and compares the GF(p) rank of
-the stack with the expected affine dimension.  Hitting the expectation is a
-valid characteristic-0 certificate by semicontinuity; falling short is only
-circumstantial evidence of a defect, so such verdicts are inconclusive and
-retried with fresh seeds.
+A probe draws s random points, stacks a basis of the affine tangent space
+at each (the Plücker row plus (k+1)(n-k) tangent-frame generators, see
+grassmann.tangent_basis_rows), plus basis rows of any requested coordinate
+spans, and compares the GF(p) rank of the stack with the expected affine
+dimension.  Hitting the expectation is a valid characteristic-0 certificate
+by semicontinuity; falling short is only circumstantial evidence of a
+defect, so such verdicts are inconclusive and retried with fresh seeds.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .grassmann import (
     random_point,
     span_unit_rows,
     subgrassmannian_span,
+    tangent_basis_rows,
     tangent_space_dim,
 )
 
@@ -85,7 +87,7 @@ class SecantProblem:
         return math.comb(self.n + 1, self.k + 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpanVerdict:
     problem: SecantProblem
     achieved_rank: int
@@ -148,7 +150,8 @@ def _stack(problem: SecantProblem, points: list[GrassPoint]) -> np.ndarray:
     blocks = [
         span_unit_rows(subgrassmannian_span(span, d), dim, d) for span in problem.extra_spans
     ]
-    blocks.extend(frame_rows(pt.rows, problem.prime) for pt in points)
+    p = problem.prime
+    blocks.extend(tangent_basis_rows(pt.rows, frame_rows(pt.rows, p), p) for pt in points)
     return np.vstack(blocks)
 
 
@@ -164,9 +167,20 @@ def _monomial_points(problem: SecantProblem) -> list[GrassPoint] | None:
 
 
 def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | None = None) -> SpanVerdict:
-    """Run the prober; `strategy` is one of random, monomial, auto."""
+    """Run the prober; `strategy` is one of random, monomial, auto.
+
+    A problem with extra spans is a specialization: each constrained point
+    must lie in one of the spans, and the verdict reports the residual
+    ambient - achieved, which counts the hyperplanes through the whole
+    configuration; it matches the expected residual exactly when the
+    verdict is certified.
+    """
     if strategy not in ("random", "monomial", "auto"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if problem.extra_spans:
+        for sub in problem.point_constraints or ():
+            if sub is not None and not any(set(sub.support) <= set(span.support) for span in problem.extra_spans):
+                raise ValueError(f"constraint support {sub.support} lies in no span")
     t0 = time.perf_counter()
     expected = expected_affine_dim(problem.k, problem.n, problem.s) if target_rank is None else target_rank
     ambient = problem.ambient
@@ -198,26 +212,9 @@ def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | N
         verdict = Verdict.CERTIFIED_FILLS if expected == ambient else Verdict.CERTIFIED_EXPECTED
     else:
         verdict = Verdict.INCONCLUSIVE_DEFICIT
+    residual = ambient - best if problem.extra_spans else None
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    return SpanVerdict(problem, best, expected, ambient, verdict, trials_used, elapsed_ms)
-
-
-def probe_with_specialization(problem: SecantProblem, target_rank: int) -> SpanVerdict:
-    """Probe a configuration with spans and constrained points against a target.
-
-    The reported residual ambient - achieved counts the hyperplanes through
-    the whole configuration; it matches the expected residual exactly when
-    the verdict is certified.
-    """
-    spans = problem.extra_spans
-    for sub in problem.point_constraints or ():
-        if sub is None:
-            continue
-        if not any(set(sub.support) <= set(span.support) for span in spans):
-            raise ValueError(f"constraint support {sub.support} lies in no span")
-    verdict = probe(problem, strategy="random", target_rank=target_rank)
-    verdict.residual_dimension = verdict.ambient - verdict.achieved_rank
-    return verdict
+    return SpanVerdict(problem, best, expected, ambient, verdict, trials_used, elapsed_ms, residual)
 
 
 @dataclass(frozen=True)

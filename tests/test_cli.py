@@ -106,6 +106,21 @@ class TestCache:
         assert again.stdout == fresh.stdout
         assert len(cache_file.read_text().splitlines()) == 3
 
+    @pytest.mark.parametrize("bad", ["[]", "{}", '{"key": "x"}', '"str"'])
+    def test_non_record_line_is_skipped_with_warning(self, runner, tmp_path, bad):
+        args = ["--json", "check", "-k", "2", "-n", "6", "-s", "2"]
+        cache_file = tmp_path / "cache" / "results.jsonl"
+        cache_file.parent.mkdir()
+        cache_file.write_text(bad + "\n")
+        first = invoke(runner, tmp_path, *args)
+        assert first.exit_code == 0
+        assert "skipped 1 undecodable line(s)" in first.stderr
+        replay = invoke(runner, tmp_path, *args)
+        assert replay.exit_code == 0
+        assert replay.stdout == first.stdout
+        assert cache_file.read_text().splitlines()[0] == bad
+        assert len(cache_file.read_text().splitlines()) == 2
+
     def test_key_without_kernel_tag_is_not_replayed(self, runner, tmp_path):
         # A record keyed without the kernel tag, as before the float64 kernel,
         # claiming the false certificate once computed at an unsafe prime.

@@ -9,6 +9,7 @@ from grsecant.fieldcore import (
     GEMM_DEPTH,
     MAX_PRIME,
     SECOND_PRIME,
+    SLICE_ROWS,
     NotACube,
     cube_root_mod_p,
     det_exact,
@@ -110,7 +111,10 @@ class TestEchelonKernel:
         assert rank_mod_p(A, p) == rank_mod_p_reference(A, p)
 
     @pytest.mark.parametrize("p", KERNEL_PRIMES)
-    @pytest.mark.parametrize("m", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+    @pytest.mark.parametrize(
+        "m",
+        [SLICE_ROWS - 1, SLICE_ROWS, SLICE_ROWS + 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1],
+    )
     def test_block_boundaries(self, p, m):
         rng = np.random.default_rng([p, m])
         for A in (
@@ -121,16 +125,55 @@ class TestEchelonKernel:
             assert rank_mod_p(A, p) == rank_mod_p_reference(A, p)
 
     def test_gemm_slices_at_max_prime(self):
-        # A basis [I | (p-2)] of an odd number r > GEMM_DEPTH of rows, then
-        # (p-2) times the sum of the basis rows.  Reducing that row sums r odd
-        # products (p-2)**2: an odd total past 2**53 unless the GEMM is
-        # sliced.  A rounded sum leaves a nonzero remainder, a false pivot.
+        # A basis [I | T] of r = 601 > GEMM_DEPTH rows, T = p-2 except in rows
+        # 550 and 590, where it is p-1; then (p-2) times the sum of the basis
+        # rows.  Clearing that row's pivots subtracts one product per basis
+        # row from its tail, (p-2)**2 (odd) or (p-2)(p-1) (even), starting
+        # from the reduced tail 2400 (even).  The first 576 rows (12 blocks)
+        # and all 601 hold an odd number of odd products, so either sum is
+        # odd and past 2**53 unless it is cut every GEMM_DEPTH products and
+        # reduced.  A rounded sum leaves a nonzero remainder, a false pivot.
         p = MAX_PRIME
         r, t = GEMM_DEPTH + 89, 4
         basis = np.hstack([np.eye(r, dtype=np.int64), np.full((r, t), p - 2, dtype=np.int64)])
+        basis[[550, 590], r:] = p - 1
         dependent = (p - 2) * basis.sum(axis=0) % p
         A = np.vstack([basis, dependent])
         assert rank_mod_p(A, p) == rank_mod_p_reference(A, p) == r
+
+    def test_dense_past_gemm_depth(self):
+        # Dense rank r > GEMM_DEPTH: the rows after the first r carry dense
+        # coefficients on more than GEMM_DEPTH pivots of E.
+        p = MAX_PRIME
+        rng = np.random.default_rng(5)
+        r = GEMM_DEPTH + 30
+        A = _low_rank(rng, r + 2 * BLOCK_ROWS, r + 40, r, p)
+        assert rank_mod_p(A, p) == rank_mod_p_reference(A, p) == r
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_slices_with_dependent_and_zero_rows(self, p):
+        # Two and a half blocks of rows: in every slice some rows are zero,
+        # copies of a row in the same slice, in an earlier slice of the same
+        # block, or in an earlier block, or combinations of earlier rows.
+        rng = np.random.default_rng([p, 9])
+        m, n = 2 * BLOCK_ROWS + BLOCK_ROWS // 2, 3 * BLOCK_ROWS
+        A = rng.integers(0, p, size=(m, n))
+        for i in range(m):
+            kind = i % 5
+            if kind == 1:
+                A[i] = 0
+            elif kind == 2 and i % SLICE_ROWS:
+                A[i] = A[i - 1]
+            elif kind == 3 and i >= SLICE_ROWS:
+                A[i] = (p - 1) * A[i - SLICE_ROWS] % p
+            elif kind == 4 and i >= BLOCK_ROWS:
+                A[i] = (A[i - BLOCK_ROWS] + 3 * A[i - BLOCK_ROWS - 1]) % p
+        want = rank_mod_p_reference(A, p)
+        assert want < m
+        assert rank_mod_p(A, p) == want
+        zero_slice = A.copy()
+        zero_slice[BLOCK_ROWS + SLICE_ROWS : BLOCK_ROWS + 2 * SLICE_ROWS] = 0
+        assert rank_mod_p(zero_slice, p) == rank_mod_p_reference(zero_slice, p)
 
     def test_worst_case_entries(self):
         for p in KERNEL_PRIMES:
@@ -203,7 +246,7 @@ class TestDetExact:
         # M = P L U with P a row permutation, L unit lower and U upper
         # triangular: det M = sign(P) * prod(diag U), sizes past one block.
         rng = np.random.default_rng(p)
-        for size in (1, 2, 7, BLOCK_ROWS + 3):
+        for size in (1, 2, 7, SLICE_ROWS + 1, BLOCK_ROWS + 3, 2 * BLOCK_ROWS + 5):
             L = np.tril(rng.integers(0, p, size=(size, size)), -1) + np.eye(size, dtype=np.int64)
             U = np.triu(rng.integers(0, p, size=(size, size)))
             U[np.diag_indices(size)] = rng.integers(1, p, size=size)
@@ -307,7 +350,7 @@ class TestPrimes:
         assert GEMM_DEPTH * (MAX_PRIME - 1) ** 2 + MAX_PRIME < 2**53
         nxt = next(q for q in range(MAX_PRIME + 1, 2 * MAX_PRIME) if is_prime(q))
         assert GEMM_DEPTH * (nxt - 1) ** 2 + nxt >= 2**53
-        assert BLOCK_ROWS <= GEMM_DEPTH
+        assert SLICE_ROWS <= BLOCK_ROWS <= GEMM_DEPTH
 
     def test_prime_bound(self):
         assert validate_prime(MAX_PRIME) == MAX_PRIME

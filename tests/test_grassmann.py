@@ -10,11 +10,13 @@ from grsecant.grassmann import (
     GrassPoint,
     coordinate_point,
     frame_rows,
+    maximal_minors_mod,
     monomial_tangent_basis,
     pluecker,
     random_point,
     span_unit_rows,
     subgrassmannian_span,
+    tangent_basis_rows,
     tangent_frame,
     tangent_space_dim,
 )
@@ -97,6 +99,51 @@ class TestTangentFrame:
         expected = {subset_rank(s) for s in monomial_tangent_basis((0, 1, 2), 2, 6)}
         assert touched == expected
         assert rank_mod_p(rows, P) == len(expected) == 13
+
+
+def _basis_points(k, n):
+    """Random, support-constrained and coordinate points of Gr(k, n)."""
+    rng = np.random.default_rng([k, n])
+    support = CoordinateSubspace(n, tuple(range(1, k + 3)))
+    yield random_point(k, n, rng, p=P)
+    yield random_point(k, n, rng, support, P)
+    yield coordinate_point(k, n, range(k + 1))
+    yield coordinate_point(k, n, range(n - k, n + 1))
+    yield coordinate_point(k, n, range(1, 2 * k + 2, 2))
+
+
+class TestTangentBasisRows:
+    @pytest.mark.parametrize("k,n", [(1, 4), (1, 7), (2, 6), (2, 9), (3, 7), (3, 9), (4, 9)])
+    def test_basis_of_the_frame_span(self, k, n):
+        dim = tangent_space_dim(k, n)
+        for pt in _basis_points(k, n):
+            frame = frame_rows(pt.rows, P)
+            basis = tangent_basis_rows(pt.rows, frame, P)
+            assert basis.shape == (dim, math.comb(n + 1, k + 1))
+            assert rank_mod_p(basis, P) == dim
+            assert rank_mod_p(np.vstack([basis, frame]), P) == dim
+            assert np.array_equal(basis[0], maximal_minors_mod(pt.rows, P))
+
+    def test_rows_taken_from_frame(self):
+        # k=2, n=6 at a coordinate point: the Plücker row, then the 4 free
+        # basis vectors for each of the 3 rows.
+        pt = coordinate_point(2, 6, (1, 3, 5))
+        frame = frame_rows(pt.rows, P)
+        basis = tangent_basis_rows(pt.rows, frame, P)
+        keep = [i * 7 + j for i in range(3) for j in (0, 2, 4, 6)]
+        assert np.array_equal(basis[1:], frame[keep])
+
+    def test_point_rank_deficient_mod_p_keeps_whole_frame(self):
+        p = 7
+        pt = GrassPoint(1, 3, np.array([[1, 0, 0, 0], [7, 0, 14, 0]]))
+        frame = frame_rows(pt.rows, p)
+        assert not maximal_minors_mod(pt.rows, p).any()
+        assert tangent_basis_rows(pt.rows, frame, p) is frame
+
+    def test_int64_bound(self):
+        rows = np.eye(2, 5, dtype=np.int64)
+        with pytest.raises(ValueError):
+            tangent_basis_rows(rows, frame_rows(rows, 3), 2**31 + 11)
 
 
 class TestMonomialTangentBasis:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,16 +6,17 @@ import pytest
 
 from grsecant.codes import monomial_certificate
 from grsecant.fieldcore import DEFAULT_PRIME, SECOND_PRIME, rank_mod_p
-from grsecant.grassmann import CoordinateSubspace, tangent_space_dim
+from grsecant.grassmann import CoordinateSubspace, frame_rows, tangent_space_dim
 from grsecant.terracini import (
     CertificateUnavailable,
     ImpliedRange,
     SecantProblem,
     Verdict,
+    _sample_points,
+    _stack,
     expected_affine_dim,
     monotone_extend,
     probe,
-    probe_with_specialization,
 )
 
 P = DEFAULT_PRIME
@@ -51,6 +53,22 @@ class TestProbe:
     def test_defective_gr28(self):
         v = probe(SecantProblem(2, 8, 4, seed=0))
         assert (v.achieved_rank, v.expected_rank, v.deficit) == (74, 76, 2)
+
+    @pytest.mark.parametrize(
+        "k, n, s, achieved",
+        [(2, 6, 3, 34), (3, 7, 3, 50), (3, 7, 4, 64), (2, 8, 4, 74)],
+    )
+    def test_defective_basis_stack_matches_frames(self, k, n, s, achieved):
+        # The probe stacks one tangent basis per point; all frame generators
+        # span the same space.
+        for p in (P, SECOND_PRIME):
+            for seed in range(3):
+                problem = SecantProblem(k, n, s, prime=p, seed=seed)
+                points = _sample_points(problem, 0)
+                stack = _stack(problem, points)
+                frames = np.vstack([frame_rows(pt.rows, p) for pt in points])
+                assert len(stack) == s * tangent_space_dim(k, n)
+                assert rank_mod_p(stack, p) == rank_mod_p(frames, p) == achieved
 
     def test_certified_expected(self):
         v = probe(SecantProblem(2, 9, 5, seed=0))
@@ -166,7 +184,7 @@ class TestSpecialization:
             point_constraints=(L,) * 4 + (M,) * 4 + (N,) * 4,
             extra_spans=(L, M, N),
         )
-        v = probe_with_specialization(problem, math.comb(18, 3))
+        v = probe(problem, target_rank=math.comb(18, 3))
         assert v.verdict is Verdict.CERTIFIED_FILLS
         assert v.residual_dimension == 0
 
@@ -182,9 +200,20 @@ class TestSpecialization:
                 point_constraints=(L,) * s + (M,) * s + (None,) * 4,
                 extra_spans=(L, M),
             )
-            v = probe_with_specialization(problem, target)
+            v = probe(problem, target_rank=target)
             assert v.achieved_rank == target
             assert v.residual_dimension == expected_residual
+
+    def test_residual_only_for_specializations(self):
+        n = 11
+        L = CoordinateSubspace(n, tuple(range(6, n + 1)))
+        plain = probe(SecantProblem(2, n, 2, seed=0, point_constraints=(L, None)))
+        assert plain.residual_dimension is None and "residual" not in plain.to_record()
+        special = SecantProblem(2, n, 2, seed=0, point_constraints=(L, None), extra_spans=(L,))
+        v = probe(special, target_rank=100)
+        assert v.residual_dimension == v.ambient - v.achieved_rank == v.to_record()["residual"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.residual_dimension = 0
 
     def test_inconsistent_constraint_rejected(self):
         n = 11
@@ -194,7 +223,7 @@ class TestSpecialization:
             2, n, 1, seed=0, point_constraints=(stray,), extra_spans=(L,),
         )
         with pytest.raises(ValueError):
-            probe_with_specialization(problem, 100)
+            probe(problem, target_rank=100)
 
 
 class TestMonotoneExtend:
