@@ -35,10 +35,9 @@ def _is_entry(entry) -> bool:
 
 
 class ResultCache:
-    def __init__(self, directory: Path | None = None, enabled: bool = True):
+    def __init__(self, directory: Path | None = None):
         self.directory = Path(directory) if directory else default_cache_dir()
         self.path = self.directory / "results.jsonl"
-        self.enabled = enabled
         self._index: dict[str, dict] | None = None
 
     def _load(self) -> dict[str, dict]:
@@ -64,8 +63,6 @@ class ResultCache:
         return self._index
 
     def get(self, key: str) -> dict | None:
-        if not self.enabled:
-            return None
         return self._load().get(key)
 
     def put(self, key: str, record: dict) -> None:

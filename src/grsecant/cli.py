@@ -1,6 +1,7 @@
 """Command-line surface: probes, reports, certificates, classification.
 
-Every probabilistic command funnels through cached probe records keyed by
+Every record is built by `_record` and printed by `_emit`.  Every
+probabilistic command funnels through cached probe records keyed by
 (command, parameters, prime, seed, version); identical invocations replay
 byte-identical results.  Exit codes: 0 = pass, 1 = a checked assertion
 failed, 2 = usage error.
@@ -52,22 +53,25 @@ class RunConfig:
 pass_config = click.make_pass_decorator(RunConfig)
 
 
-def _emit(config: RunConfig, record: dict, human: str):
-    if config.as_json:
-        click.echo(json.dumps(record, sort_keys=True))
-    else:
-        click.echo(human)
+def _record(command: str, parameters: dict, result: dict | None = None, **fields) -> dict:
+    """A command's JSON record; `fields` adds `prime` and `seed` where they apply.
+
+    Without a result it is the payload a cached record is keyed by.
+    """
+    record = {"command": command, "parameters": parameters, "version": __version__, **fields}
+    if result is not None:
+        record["result"] = result
+    return record
+
+
+def _emit(config: RunConfig, record: dict, *lines: str):
+    """Print the record as one JSON line, or else the text lines."""
+    click.echo(json.dumps(record, sort_keys=True) if config.as_json else "\n".join(lines))
 
 
 def _run_cached(config: RunConfig, command: str, parameters: dict, prime: int, compute):
     """Replay a cached record or compute, append and return it."""
-    payload = {
-        "command": command,
-        "parameters": parameters,
-        "prime": prime,
-        "seed": config.seed,
-        "version": __version__,
-    }
+    payload = _record(command, parameters, prime=prime, seed=config.seed)
     # The kernel tag is hashed but not stored: a record computed by another
     # elimination kernel is never replayed.
     key = cache_key(dict(payload, kernel=KERNEL))
@@ -77,9 +81,7 @@ def _run_cached(config: RunConfig, command: str, parameters: dict, prime: int, c
             return hit
     t0 = time.perf_counter()
     result = compute()
-    record = dict(payload)
-    record["result"] = result
-    record["elapsed_ms"] = int((time.perf_counter() - t0) * 1000)
+    record = dict(payload, result=result, elapsed_ms=int((time.perf_counter() - t0) * 1000))
     config.cache.put(key, record)
     return record
 
@@ -167,8 +169,7 @@ def conjecture_table(config: RunConfig):
             expected_codim = r["ambient"] - r["expected"]
             ok = actual_codim == known_actual and expected_codim == known_expected
             failures += 0 if ok else 1
-            record = dict(record)
-            record["comparison"] = {
+            comparison = {
                 "case": label,
                 "actual_codim": actual_codim,
                 "expected_codim": expected_codim,
@@ -181,7 +182,7 @@ def conjecture_table(config: RunConfig):
                 f"{actual_codim:5d}/{expected_codim:<5d} {known_actual:5d}/{known_expected:<5d}"
                 + ("" if ok else "  MISMATCH")
             )
-            _emit(config, record, human)
+            _emit(config, dict(record, comparison=comparison), human)
     if failures:
         sys.exit(1)
 
@@ -208,33 +209,17 @@ def scan(config: RunConfig, k: int, n_from: int, n_to: int, s_from: int | None, 
             for prime in config.primes:
                 record = _probe_record(config, k, n, s, prime, "auto")
                 r = record["result"]
+                verdict = Verdict(r["verdict"])
                 note = ""
-                if r["verdict"] != Verdict.INCONCLUSIVE_DEFICIT.value:
-                    problem = SecantProblem(k=k, n=n, s=s, prime=prime, seed=config.seed, trials=config.trials)
-                    note_range = implied_range_note(problem, r)
-                    note = f"  [implies {note_range}]"
+                if verdict.is_certified():
+                    rng = monotone_extend(verdict, s)
+                    upper = "inf" if rng.s_max is None else rng.s_max
+                    note = f"  [implies {rng.verdict.value} for s in [{rng.s_min}, {upper}]]"
                 human = (
                     f"Gr({k},{n}) s={s} p={prime}: {r['verdict']} "
                     f"({r['achieved']}/{r['expected']}, ambient {r['ambient']}){note}"
                 )
                 _emit(config, record, human)
-
-
-def implied_range_note(problem: SecantProblem, result: dict) -> str:
-    """Describe the monotone extension of a certified cached verdict."""
-    from .terracini import ImpliedRange, SpanVerdict
-
-    verdict = SpanVerdict(
-        problem=problem,
-        achieved_rank=result["achieved"],
-        expected_rank=result["expected"],
-        ambient=result["ambient"],
-        verdict=Verdict(result["verdict"]),
-        trials_used=result["trials"],
-    )
-    rng: ImpliedRange = monotone_extend(verdict)
-    upper = "inf" if rng.s_max is None else str(rng.s_max)
-    return f"{rng.verdict.value} for s in [{rng.s_min}, {upper}]"
 
 
 @main.command("induction")
@@ -252,20 +237,19 @@ def induction_cmd(config: RunConfig, n_max: int):
 
         record = _run_cached(config, "induction", {"n_max": n_max, "trials": config.trials}, prime, compute)
         result = record["result"]
-        if config.as_json:
-            click.echo(json.dumps(record, sort_keys=True))
-        else:
-            for case in result["base_cases"]:
-                status = "pass" if case["passed"] else "FAIL"
-                name = f"prop {case['prop']}" if case["prop"] != "probe" else f"probe {case['variant']}"
-                click.echo(f"  {status}  {name:12s} n={case['n']:3d} achieved {case['achieved']} / {case['target']}")
-            bad_chain = [c["n"] for c in result["chain"] if not c["ok"]]
-            click.echo(f"  chain inequalities 15..{n_max}: {'all hold' if not bad_chain else f'FAIL at {bad_chain}'}")
-            conclusion = result["conclusion"]
-            click.echo(
-                f"p={prime}: " + (f"certified for n in [{conclusion[0]}, {conclusion[1]}]" if conclusion else "NOT certified")
-            )
-        if not result["conclusion"]:
+        lines = []
+        for case in result["base_cases"]:
+            status = "pass" if case["passed"] else "FAIL"
+            name = f"prop {case['prop']}" if case["prop"] != "probe" else f"probe {case['variant']}"
+            lines.append(f"  {status}  {name:12s} n={case['n']:3d} achieved {case['achieved']} / {case['target']}")
+        bad_chain = [c["n"] for c in result["chain"] if not c["ok"]]
+        lines.append(f"  chain inequalities 15..{n_max}: {'all hold' if not bad_chain else f'FAIL at {bad_chain}'}")
+        conclusion = result["conclusion"]
+        lines.append(
+            f"p={prime}: " + (f"certified for n in [{conclusion[0]}, {conclusion[1]}]" if conclusion else "NOT certified")
+        )
+        _emit(config, record, *lines)
+        if not conclusion:
             exit_code = 1
     sys.exit(exit_code)
 
@@ -280,14 +264,8 @@ def classify_cmd(config: RunConfig, tensor_file: Path):
         report = classify(omega, config.primes[0])
     except ValueError as exc:
         raise click.UsageError(f"{tensor_file}: {exc}")
-    record = {
-        "command": "classify",
-        "parameters": {"file": tensor_file.name},
-        "prime": config.primes[0],
-        "version": __version__,
-        "result": report.to_record(),
-    }
     r = report.to_record()
+    record = _record("classify", {"file": tensor_file.name}, r, prime=config.primes[0])
     human = (
         f"rank {r['rank']}: "
         f"grassmannian={r['in_grassmannian']} sigma2={r['in_sigma2']} sigma3={r['in_sigma3']}, "
@@ -307,12 +285,11 @@ def invariant_cmd(config: RunConfig, a135: int, a147: int, a126: int, a234: int,
     """Check the determinant identity on the five-parameter family."""
     det, predicted = five_term_identity(a135, a147, a126, a234, a567)
     ok = det == predicted
-    record = {
-        "command": "invariant",
-        "parameters": {"a135": a135, "a147": a147, "a126": a126, "a234": a234, "a567": a567},
-        "version": __version__,
-        "result": {"det": det, "predicted": predicted, "matches": ok},
-    }
+    record = _record(
+        "invariant",
+        {"a135": a135, "a147": a147, "a126": a126, "a234": a234, "a567": a567},
+        {"det": det, "predicted": predicted, "matches": ok},
+    )
     _emit(config, record, f"det {det}, predicted {predicted}: {'match' if ok else 'MISMATCH'}")
     if not ok:
         sys.exit(1)
@@ -332,24 +309,14 @@ def codes_cmd(config: RunConfig, length: int, weight: int, distance: int):
     code = lexicode_greedy(length, weight, distance)
     result: dict = {"length": length, "weight": weight, "distance": distance, "size": len(code),
                     "words": [list(w) for w in code.words]}
+    lines = []
     if distance == 6:
         gs = graham_sloane_bounds(length, weight)
         result["graham_sloane"] = {"a": gs.bound_a, "q_a": gs.q_a, "b": gs.bound_b, "q_b": gs.q_b, "c": gs.bound_c}
-    record = {
-        "command": "codes",
-        "parameters": {"n": length, "w": weight, "d": distance},
-        "version": __version__,
-        "result": result,
-    }
-    if config.as_json:
-        click.echo(json.dumps(record, sort_keys=True))
-    else:
-        if distance == 6:
-            gs = result["graham_sloane"]
-            click.echo(f"lower bounds: {gs['a']} (q={gs['q_a']}), {gs['b']} (q={gs['q_b']}), {gs['c']}")
-        click.echo(f"greedy code size {len(code)}:")
-        for w in code.words:
-            click.echo(" ".join(str(i) for i in w))
+        lines.append(f"lower bounds: {gs.bound_a} (q={gs.q_a}), {gs.bound_b} (q={gs.q_b}), {gs.bound_c}")
+    lines.append(f"greedy code size {len(code)}:")
+    lines.extend(" ".join(str(i) for i in w) for w in code.words)
+    _emit(config, _record("codes", {"n": length, "w": weight, "d": distance}, result), *lines)
 
 
 @main.command("demo")
@@ -368,27 +335,18 @@ def demo_cmd(config: RunConfig, which: str):
             ],
             "passed": passed,
         }
-        record = {"command": "demo", "parameters": {"which": which}, "version": __version__, "result": result}
-        if config.as_json:
-            click.echo(json.dumps(record, sort_keys=True))
-        else:
-            for r in rows:
-                click.echo(f"  {r.label:22s} rank {r.rank:2d} (expected {r.expected_rank:2d})")
-            click.echo("pass" if passed else "FAIL")
+        lines = [f"  {r.label:22s} rank {r.rank:2d} (expected {r.expected_rank:2d})" for r in rows]
+        _emit(config, _record("demo", {"which": which}, result), *lines, "pass" if passed else "FAIL")
         sys.exit(0 if passed else 1)
     report = demo_gr37(prime) if which == "gr37" else demo_gr28(prime)
-    record = {
-        "command": "demo",
-        "parameters": {"which": which},
-        "prime": prime,
-        "version": __version__,
-        "result": report.to_record(),
-    }
-    human_lines = [
+    _emit(
+        config,
+        _record("demo", {"which": which}, report.to_record(), prime=prime),
         f"{which}: affine tangent-span rank {report.achieved_rank} "
-        f"(expected dimension {report.expected_rank}, ambient {report.ambient})"
-    ] + [f"  {c}" for c in report.curve_checks] + ["pass" if report.passed else "FAIL"]
-    _emit(config, record, "\n".join(human_lines))
+        f"(expected dimension {report.expected_rank}, ambient {report.ambient})",
+        *(f"  {c}" for c in report.curve_checks),
+        "pass" if report.passed else "FAIL",
+    )
     sys.exit(0 if report.passed else 1)
 
 
@@ -408,22 +366,20 @@ def formulas_cmd(config: RunConfig, n_from: int, n_to: int):
              "s2": induction.s2(n), "generic_lower": lower, "ehrenborg_upper": float(upper)}
         )
     mismatches = induction.closed_form_mismatches(n_from, n_to)
-    record = {
-        "command": "formulas",
-        "parameters": {"n_from": n_from, "n_to": n_to},
-        "version": __version__,
-        "result": {"rows": rows, "one_floor_form_mismatches": mismatches},
-    }
-    if config.as_json:
-        click.echo(json.dumps(record, sort_keys=True))
-    else:
-        click.echo(f"{'n':>4s} {'f1':>5s} {'f2':>5s} {'s1':>5s} {'s2':>5s} {'lower':>6s} {'upper':>8s}")
-        for r in rows:
-            click.echo(
-                f"{r['n']:4d} {r['f1']:5d} {r['f2']:5d} {r['s1']:5d} {r['s2']:5d} "
-                f"{r['generic_lower']:6d} {r['ehrenborg_upper']:8.2f}"
-            )
-        click.echo(f"one-floor closed-form disagreements in range: {len(mismatches)}")
+    record = _record(
+        "formulas", {"n_from": n_from, "n_to": n_to}, {"rows": rows, "one_floor_form_mismatches": mismatches}
+    )
+    _emit(
+        config,
+        record,
+        f"{'n':>4s} {'f1':>5s} {'f2':>5s} {'s1':>5s} {'s2':>5s} {'lower':>6s} {'upper':>8s}",
+        *(
+            f"{r['n']:4d} {r['f1']:5d} {r['f2']:5d} {r['s1']:5d} {r['s2']:5d} "
+            f"{r['generic_lower']:6d} {r['ehrenborg_upper']:8.2f}"
+            for r in rows
+        ),
+        f"one-floor closed-form disagreements in range: {len(mismatches)}",
+    )
 
 
 if __name__ == "__main__":

@@ -236,12 +236,17 @@ def _int_rows(mat) -> list[list[int]]:
     return rows
 
 
-def rank_exact(mat) -> int:
-    """Rank over the rationals via fraction-free (Bareiss) elimination."""
-    rows = _int_rows(mat)
+def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:
+    """Fraction-free (Bareiss) elimination of integer rows, in place.
+
+    Columns with no pivot are skipped.  Returns the rank, the sign of the
+    row swaps and the last pivot; for a square matrix of full rank the sign
+    times the last pivot is the determinant.
+    """
     m = len(rows)
     n = len(rows[0]) if m else 0
     r = 0
+    sign = 1
     prev = 1
     for c in range(n):
         piv = next((i for i in range(r, m) if rows[i][c]), None)
@@ -249,6 +254,7 @@ def rank_exact(mat) -> int:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
         a = rows[r][c]
         for i in range(r + 1, m):
             b = rows[i][c]
@@ -260,7 +266,12 @@ def rank_exact(mat) -> int:
         r += 1
         if r == m:
             break
-    return r
+    return r, sign, prev
+
+
+def rank_exact(mat) -> int:
+    """Rank over the rationals via fraction-free (Bareiss) elimination."""
+    return _bareiss(_int_rows(mat))[0]
 
 
 def det_exact(mat) -> int:
@@ -274,26 +285,8 @@ def det_exact(mat) -> int:
         raise ValueError("determinant of a non-square matrix")
     if n > MAX_EXACT_DET_SIZE:
         raise ValueError(f"exact determinant limited to {MAX_EXACT_DET_SIZE}x{MAX_EXACT_DET_SIZE}")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        a = rows[c][c]
-        for i in range(c + 1, n):
-            b = rows[i][c]
-            ri, rc = rows[i], rows[c]
-            for j in range(c + 1, n):
-                ri[j] = (a * ri[j] - b * rc[j]) // prev
-            ri[c] = 0
-        prev = a
-    return sign * rows[n - 1][n - 1]
+    rank, sign, last_pivot = _bareiss(rows)
+    return sign * last_pivot if rank == n else 0
 
 
 def det_mod_p(mat, p: int = DEFAULT_PRIME) -> int:

@@ -264,7 +264,7 @@ def demo_gr37(p: int = DEFAULT_PRIME) -> DemoReport:
     for t in (2, 3, 5, 7, 11):
         rows = curve_matrix(1, t)
         img = wedge_vectors(rows.tolist(), 8)
-        on_curve = on_curve and not img.is_zero() and GrassPoint(k, n, rows) is not None
+        on_curve = on_curve and not img.is_zero()
     checks.append(f"5 sampled curve points are valid Grassmannian points: {on_curve}")
 
     passed = achieved == 50 and on_curve and all(c.endswith("True") for c in checks[:3])
@@ -305,7 +305,7 @@ def demo_gr28(p: int = DEFAULT_PRIME) -> DemoReport:
         s, t, u = (int(x) for x in rng.integers(1, 50, size=3))
         rows = veronese_matrix(s, t, u)
         img = wedge_vectors(rows.tolist(), 9)
-        on_surface = on_surface and not img.is_zero() and GrassPoint(k, n, rows) is not None
+        on_surface = on_surface and not img.is_zero()
     checks.append(f"6 sampled surface points are valid Grassmannian points: {on_surface}")
 
     passed = achieved == 74 and on_surface and all(c.endswith("True") for c in checks[:4])

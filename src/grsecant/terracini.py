@@ -229,11 +229,10 @@ class ImpliedRange:
         return self.s_min <= s and (self.s_max is None or s <= self.s_max)
 
 
-def monotone_extend(verdict: SpanVerdict) -> ImpliedRange:
+def monotone_extend(verdict: Verdict, s: int) -> ImpliedRange:
     """Expected dimension at s certifies all s' <= s; filling certifies all s' >= s."""
-    if not verdict.verdict.is_certified():
+    if not verdict.is_certified():
         raise ValueError("monotone extension needs a certified verdict")
-    s = verdict.problem.s
-    if verdict.verdict is Verdict.CERTIFIED_FILLS:
+    if verdict is Verdict.CERTIFIED_FILLS:
         return ImpliedRange(Verdict.CERTIFIED_FILLS, s, None)
     return ImpliedRange(Verdict.CERTIFIED_EXPECTED, 1, s)

@@ -288,3 +288,39 @@ class TestFormulas:
         record = json.loads(result.output)
         ns = {m["n"] for m in record["result"]["one_floor_form_mismatches"]}
         assert 11 in ns and 9 in ns
+
+
+class TestRecordShape:
+    """Top-level keys of every command's --json record."""
+
+    CACHED = {"command", "parameters", "prime", "seed", "version", "result", "elapsed_ms"}
+    PLAIN = {"command", "parameters", "version", "result"}
+
+    @pytest.mark.parametrize(
+        "args, keys",
+        [
+            (["check", "-k", "2", "-n", "6", "-s", "2"], CACHED),
+            (["scan", "-k", "3", "--n-from", "7", "--n-to", "7", "--s-from", "2", "--s-to", "2"], CACHED),
+            (["induction", "--n-max", "14"], CACHED),
+            (["conjecture-table"], CACHED | {"comparison"}),
+            (["demo", "gr37"], PLAIN | {"prime"}),
+            (["demo", "gr28"], PLAIN | {"prime"}),
+            (["invariant", "1", "2", "3", "4", "5"], PLAIN),
+            (["codes", "-n", "10", "-w", "4"], PLAIN),
+            (["codes", "-n", "10", "-w", "4", "-d", "4"], PLAIN),
+            (["formulas", "--n-from", "9", "--n-to", "10"], PLAIN),
+            (["demo", "figure1"], PLAIN),
+        ],
+    )
+    def test_keys(self, runner, tmp_path, args, keys):
+        result = invoke(runner, tmp_path, "--json", *args)
+        assert result.exit_code == 0
+        records = [json.loads(line) for line in result.output.splitlines()]
+        assert records and all(set(r) == keys for r in records)
+
+    def test_classify_keys(self, runner, tmp_path):
+        path = tmp_path / "fano.tensor"
+        path.write_text(format_tensor(fano_tensor(), one_based=True))
+        result = invoke(runner, tmp_path, "--json", "classify", str(path))
+        assert result.exit_code == 0
+        assert set(json.loads(result.output)) == self.PLAIN | {"prime"}

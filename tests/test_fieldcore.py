@@ -227,6 +227,23 @@ class TestDetExact:
     def test_singular(self):
         assert det_exact([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 0
 
+    def test_sparse_and_low_rank_against_cofactor_oracle(self):
+        # Sparse matrices need row swaps and meet pivot-free columns; products
+        # of a 5 x r and an r x 5 matrix have rank at most r < 5.
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            m = (rng.integers(-3, 4, size=(5, 5)) * (rng.random((5, 5)) < 0.3)).tolist()
+            assert det_exact(m) == cofactor_det(m)
+        for r in range(1, 5):
+            m = rng.integers(-5, 6, size=(5, r)) @ rng.integers(-5, 6, size=(r, 5))
+            assert det_exact(m) == 0 and rank_exact(m) <= r
+
+    def test_empty_and_ragged(self):
+        assert det_exact([]) == 1 and rank_exact([]) == 0
+        for f in (det_exact, rank_exact):
+            with pytest.raises(ValueError, match="ragged"):
+                f([[1, 2], [3]])
+
     def test_size_guard(self):
         with pytest.raises(ValueError):
             det_exact(np.eye(65, dtype=np.int64))

@@ -229,20 +229,20 @@ class TestSpecialization:
 class TestMonotoneExtend:
     def test_expected_extends_down(self):
         v = probe(SecantProblem(2, 9, 5, seed=0))
-        rng = monotone_extend(v)
+        rng = monotone_extend(v.verdict, v.problem.s)
         assert rng == ImpliedRange(Verdict.CERTIFIED_EXPECTED, 1, 5)
         assert rng.covers(1) and rng.covers(5) and not rng.covers(6)
 
     def test_fills_extends_up(self):
         v = probe(SecantProblem(2, 9, 6, seed=0))
-        rng = monotone_extend(v)
+        rng = monotone_extend(v.verdict, v.problem.s)
         assert rng == ImpliedRange(Verdict.CERTIFIED_FILLS, 6, None)
         assert rng.covers(6) and rng.covers(100) and not rng.covers(5)
 
     def test_rejects_inconclusive(self):
         v = probe(SecantProblem(2, 6, 3, seed=0))
         with pytest.raises(ValueError):
-            monotone_extend(v)
+            monotone_extend(v.verdict, v.problem.s)
 
 
 class TestProblemValidation:
