@@ -1,9 +1,15 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from grsecant import __version__
+from grsecant import cache as cache_module
 from grsecant.cache import cache_key
 from grsecant.cli import main
 from grsecant.extalg import format_tensor
@@ -147,6 +153,161 @@ class TestCache:
         lines = cache_file.read_text().splitlines()
         # check wrote s=5; scan added only s=6 (s=5 was replayed).
         assert len(lines) == 2
+
+
+def _cold_check(runner, tmp_path, *args):
+    """Run a --json check into an empty cache; returns (args, result, cache file, its one line)."""
+    args = ("--json", "check", *args)
+    first = invoke(runner, tmp_path, *args)
+    cache_file = tmp_path / "cache" / "results.jsonl"
+    (line,) = cache_file.read_text().splitlines()
+    return args, first, cache_file, line
+
+
+APPEND_SCRIPT = """
+import sys
+from grsecant.cache import ResultCache
+
+cache, tag = ResultCache(sys.argv[1]), sys.argv[2]
+print("ready", flush=True)
+sys.stdin.readline()
+for i in range(200):
+    # Lines over 8 KiB span pages: another appender can see one half written.
+    cache.put(f"{tag}{i:063d}", {"command": "note", "i": i, "pad": "x" * (9000 if i % 10 == 0 else 10)})
+"""
+
+
+class TestCacheIndex:
+    def test_warm_scan_decodes_only_replayed_records(self, runner, tmp_path, monkeypatch):
+        args = ["--json", "scan", "-k", "2", "--n-from", "9", "--n-to", "9"]
+        cold = invoke(runner, tmp_path, *args)
+        cache_file = tmp_path / "cache" / "results.jsonl"
+        real = cache_file.read_text().splitlines()
+        padding = []
+        for i in range(2000 - len(real)):
+            entry = json.loads(real[i % len(real)])
+            entry["key"] = hashlib.sha256(f"pad {i}".encode()).hexdigest()
+            entry["record"]["seed"] = 10**9 + i
+            padding.append(json.dumps(entry, sort_keys=True))
+        cache_file.write_text("".join(line + "\n" for line in padding + real))
+        decoded = []
+        loads = cache_module.json.loads
+        monkeypatch.setattr(cache_module.json, "loads", lambda s, *a, **kw: decoded.append(s) or loads(s, *a, **kw))
+        warm = invoke(runner, tmp_path, *args)
+        monkeypatch.undo()
+        assert warm.exit_code == 0 and warm.stdout == cold.stdout
+        replayed = warm.stdout.splitlines()
+        assert len(replayed) == 2
+        assert len(decoded) == len(replayed)
+        assert len(cache_file.read_text().splitlines()) == 2000
+
+    def test_corrupt_body_falls_through_to_next_line(self, runner, tmp_path):
+        args, first, cache_file, line = _cold_check(runner, tmp_path, "-k", "2", "-n", "6", "-s", "3")
+        key = json.loads(line)["key"]
+        corrupt = '{"key": "%s", "record": {"command": "probe", "result": {oops}}' % key
+        cache_file.write_text(corrupt + "\n" + line + "\n")
+        replay = invoke(runner, tmp_path, *args)
+        assert replay.exit_code == 0
+        assert replay.stdout == first.stdout
+        assert "skipped 1 undecodable line(s)" in replay.stderr
+        assert cache_file.read_text().splitlines() == [corrupt, line]
+
+    def test_first_of_two_valid_lines_wins(self, runner, tmp_path):
+        args, first, cache_file, line = _cold_check(runner, tmp_path, "-k", "2", "-n", "6", "-s", "3")
+        entry = json.loads(line)
+        entry["record"]["elapsed_ms"] = 987654
+        earlier = json.dumps(entry, sort_keys=True)
+        cache_file.write_text(earlier + "\n" + line + "\n")
+        replay = invoke(runner, tmp_path, *args)
+        assert replay.exit_code == 0 and replay.stderr == ""
+        assert json.loads(replay.stdout) == entry["record"]
+
+    @pytest.mark.parametrize(
+        "dump",
+        [
+            lambda entry: json.dumps({"record": entry["record"], "key": entry["key"]}),
+            lambda entry: json.dumps(entry, sort_keys=True, separators=(",", ":")),
+        ],
+        ids=["key-order", "separators"],
+    )
+    def test_entry_not_in_put_form_is_recomputed(self, runner, tmp_path, dump):
+        args, first, cache_file, line = _cold_check(runner, tmp_path, "-k", "2", "-n", "6", "-s", "3")
+        entry = json.loads(line)
+        entry["record"]["elapsed_ms"] = 987654
+        other = dump(entry)
+        assert json.loads(other) == entry
+        cache_file.write_text(other + "\n")
+        fresh = invoke(runner, tmp_path, *args)
+        assert fresh.exit_code == 0
+        assert "skipped 1 undecodable line(s)" in fresh.stderr
+        assert json.loads(fresh.stdout)["result"] == json.loads(first.stdout)["result"]
+        assert json.loads(fresh.stdout)["elapsed_ms"] != 987654
+        assert cache_file.read_text().splitlines()[0] == other
+        assert len(cache_file.read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize(
+        "check, fields",
+        [
+            (("-k", "2", "-n", "9", "-s", "6"), {"achieved": 119}),  # CertifiedFills below ambient
+            (("-k", "2", "-n", "9", "-s", "6"), {"ambient": 121}),
+            (("-k", "2", "-n", "9", "-s", "5"), {"expected": 120, "achieved": 120}),  # CertifiedExpected at ambient
+            (("-k", "2", "-n", "9", "-s", "5"), {"achieved": 109}),
+            (("-k", "2", "-n", "6", "-s", "3"), {"deficit": 2}),  # InconclusiveDeficit: 34/35
+            (("-k", "2", "-n", "6", "-s", "3"), {"achieved": 35, "deficit": 0}),
+            (("-k", "2", "-n", "6", "-s", "3"), {"achieved": "34"}),
+            (("-k", "2", "-n", "6", "-s", "3"), {"verdict": "Certified"}),
+        ],
+        ids=[
+            "fills-short", "fills-ambient", "expected-at-ambient", "expected-short",
+            "deficit-wrong", "deficit-none", "rank-string", "unknown-verdict",
+        ],
+    )
+    def test_failed_bookkeeping_is_skipped(self, runner, tmp_path, check, fields):
+        args, first, cache_file, line = _cold_check(runner, tmp_path, *check)
+        entry = json.loads(line)
+        entry["record"]["result"].update(fields)
+        bad = json.dumps(entry, sort_keys=True)
+        # Followed by a sound line with the same key, that line is replayed.
+        cache_file.write_text(bad + "\n" + line + "\n")
+        replay = invoke(runner, tmp_path, *args)
+        assert replay.exit_code == 0
+        assert replay.stdout == first.stdout
+        assert "skipped 1 undecodable line(s)" in replay.stderr
+        # Alone, it is recomputed once; later runs replay the new line.
+        cache_file.write_text(bad + "\n")
+        fresh = invoke(runner, tmp_path, *args)
+        assert json.loads(fresh.stdout)["result"] == json.loads(first.stdout)["result"]
+        again = invoke(runner, tmp_path, *args)
+        assert again.stdout == fresh.stdout
+        assert len(cache_file.read_text().splitlines()) == 2
+
+    def test_concurrent_appends_stay_whole_lines(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(cache_module.__file__).parents[1]))
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", APPEND_SCRIPT, str(tmp_path), tag],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True,
+            )
+            for tag in "ab"
+        ]
+        try:
+            for writer in writers:
+                assert writer.stdout.readline() == "ready\n"
+            for writer in writers:  # release both at once
+                writer.stdin.write("\n")
+                writer.stdin.close()
+            for writer in writers:
+                assert writer.wait(timeout=60) == 0
+        finally:
+            for writer in writers:
+                writer.kill()
+                writer.stdout.close()
+        lines = (tmp_path / "results.jsonl").read_text().splitlines()
+        entries = [json.loads(line) for line in lines]
+        assert sorted(e["key"] for e in entries) == sorted(f"{tag}{i:063d}" for tag in "ab" for i in range(200))
+        assert max(map(len, lines)) > 8192
+        cache = cache_module.ResultCache(tmp_path)
+        assert all(cache.get(e["key"]) == e["record"] for e in entries)
 
 
 class TestConjectureTable:
