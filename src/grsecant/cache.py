@@ -11,11 +11,11 @@ it; a record is decoded only when it is replayed.  On duplicate keys the
 first line that decodes to a {"key", "record"} entry and passes the replay
 check wins; the check asks a probe record's ranks to agree with its verdict.
 
-Two kinds of line are skipped with a warning: at load, every line not in
-`put`'s form, such as one cut short by a killed run or one written by hand;
-at replay, a line in that form whose body does not decode or fails the
-check, after which the next line with the same key is tried.  The next
-append after a cut-short line starts on a fresh line.
+Two kinds of line are skipped with a warning that names which: at load,
+every line not in `put`'s form, such as one cut short by a killed run or
+one written by hand; at replay, a line in that form whose body does not
+decode or fails the check, after which the next line with the same key is
+tried.  The next append after a cut-short line starts on a fresh line.
 """
 
 from __future__ import annotations
@@ -86,9 +86,9 @@ class ResultCache:
         # key -> the record replayed for it
         self._records: dict[str, dict] = {}
 
-    def _warn(self, skipped: int) -> None:
+    def _warn(self, skipped: int, cause: str) -> None:
         if skipped:
-            print(f"warning: skipped {skipped} undecodable line(s) in {self.path}", file=sys.stderr)
+            print(f"warning: skipped {skipped} undecodable line(s) in {self.path}: {cause}", file=sys.stderr)
 
     def _load(self) -> dict[bytes, bytes]:
         if self._lines is None:
@@ -109,7 +109,7 @@ class ResultCache:
                         lines[key] = lines[key] + b"\n" + line if key in lines else line
                     else:
                         skipped += 1
-            self._warn(skipped)
+            self._warn(skipped, "not in the cache's line form")
         return self._lines
 
     def get(self, key: str) -> dict | None:
@@ -125,7 +125,7 @@ class ResultCache:
                     self._records[key] = entry["record"]
                     break
                 skipped += 1
-            self._warn(skipped)
+            self._warn(skipped, "did not decode or failed the replay check")
         return self._records.get(key)
 
     def put(self, key: str, record: dict) -> None:

@@ -93,7 +93,12 @@ def _reduce(x: np.ndarray, p: int, scratch: np.ndarray | None = None) -> np.ndar
 
 
 def _float_block(block: np.ndarray, p: int) -> np.ndarray:
-    """Rows of an integer matrix reduced mod p, as float64."""
+    """Rows of an integer matrix reduced mod p, as a float64 copy.
+
+    Float64 input must hold integers of magnitude below 2**53.
+    """
+    if block.dtype == np.float64:
+        return _reduce(block.copy(), p)
     if block.dtype == object:
         # Python big integers: reduce first, then narrow.
         block = (block % p).astype(np.int64)

@@ -25,7 +25,8 @@ from .fieldcore import (
     integer_cube_root_signed,
     rank_mod_p,
 )
-from .grassmann import GrassPoint, frame_rows, pluecker, tangent_basis_rows, tangent_space_dim
+from .grassmann import GrassPoint, pluecker, tangent_space_dim
+from .terracini import tangent_stack
 
 RANK_GRASSMANNIAN = 6
 RANK_SIGMA2 = 12
@@ -230,7 +231,7 @@ def _proportional(u, v) -> bool:
 
 
 def _stacked_frame_rank(points: list[GrassPoint], p: int) -> int:
-    return rank_mod_p(np.vstack([tangent_basis_rows(pt.rows, frame_rows(pt.rows, p), p) for pt in points]), p)
+    return rank_mod_p(tangent_stack(points, p), p)
 
 
 def demo_gr37(p: int = DEFAULT_PRIME) -> DemoReport:

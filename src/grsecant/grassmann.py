@@ -3,7 +3,10 @@
 A point is stored as a full-rank (k+1) x (n+1) row matrix, not as a Plücker
 vector, so that tangent frames can be generated from it.  The affine tangent
 space at a point is spanned by the wedges obtained by replacing one row with
-one basis vector; its dimension is (k+1)(n-k)+1.
+one basis vector; its dimension is (k+1)(n-k)+1.  The probers' fast path,
+frame_rows, writes a basis of it (the Plücker row and the generators off
+one nonzero Plücker coordinate) into float64 rows, from maximal minors
+computed by row-by-row Laplace expansion.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from typing import Sequence
 
 import numpy as np
@@ -113,8 +115,8 @@ def tangent_frame(pt: GrassPoint, p: int = DEFAULT_PRIME) -> TangentFrame:
 # ---------------------------------------------------------------------------
 # Dense fast path used by the probers.  Each frame generator keeps one point
 # row replaced by a basis vector; expanding the determinant along that row
-# reduces every generator to signed k x k minors of the row-deleted matrix,
-# so one point costs (k+1) vectorized minor sweeps plus index scatters.
+# reduces every generator to signed k x k minors of the row-deleted matrix.
+# One table per (dim, t) drives the minors, the Plücker row and the scatter.
 
 
 @lru_cache(maxsize=None)
@@ -125,94 +127,86 @@ def _subset_array(dim: int, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _scatter_tables(dim: int, d: int):
-    """Per basis-vector tables mapping (d-1)-subsets avoiding j to d-subset slots."""
-    subs = list(subsets_colex(dim, d - 1))
-    sub_idx: list[np.ndarray] = []
-    tgt_idx: list[np.ndarray] = []
-    pos_par: list[np.ndarray] = []
-    for j in range(dim):
-        si, ti, pp = [], [], []
-        for r, s in enumerate(subs):
-            if j in s:
-                continue
-            pos = sum(1 for x in s if x < j)
-            merged = tuple(sorted(s + (j,)))
-            si.append(r)
-            ti.append(subset_rank(merged))
-            pp.append(pos & 1)
-        sub_idx.append(np.array(si, dtype=np.int64))
-        tgt_idx.append(np.array(ti, dtype=np.int64))
-        pos_par.append(np.array(pp, dtype=np.int64))
-    return sub_idx, tgt_idx, pos_par
+def _drop_table(dim: int, t: int) -> np.ndarray:
+    """Entry [r, a]: the colex rank of T minus T[a], for the t-subset T of rank r.
+
+    The colex rank of a sorted subset sums C(T[b], b+1); dropping T[a] keeps
+    the terms before a and moves each later element down one position.
+    """
+    idx = _subset_array(dim, t)
+    binom = np.array([[math.comb(x, b) for b in range(t + 1)] for x in range(dim)], dtype=np.int64)
+    keep = binom[idx, np.arange(1, t + 1)]
+    moved = binom[idx, np.arange(t)]
+    return np.cumsum(keep, axis=1) - keep + moved.sum(axis=1, keepdims=True) - np.cumsum(moved, axis=1)
+
+
+def _expand(row: np.ndarray, minors: np.ndarray, t: int, p: int) -> np.ndarray:
+    """The maximal minors of [row; M] from those of M, by expansion along row 0.
+
+    `row` is reduced mod p and `minors` are the maximal minors of the
+    (t-1)-row matrix M, colex order.  Minor T is the alternating sum over a
+    of row[T[a]] * minors[T minus T[a]]; the t products are summed in int64
+    before one reduction, which is exact while t*(p-1)**2 < 2**63.
+    """
+    if t * (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"Laplace expansion of {t} rows mod {p} would overflow int64")
+    dim = len(row)
+    prods = row[_subset_array(dim, t)] * minors[_drop_table(dim, t)]
+    return (prods[:, 0::2].sum(axis=1) - prods[:, 1::2].sum(axis=1)) % p
 
 
 def maximal_minors_mod(mat: np.ndarray, p: int) -> np.ndarray:
-    """All maximal minors of a short wide matrix, colex column order, mod p."""
+    """All maximal minors of a short wide matrix, colex column order, mod p.
+
+    Row-by-row Laplace expansion from the bottom row up: t*C(dim, t)
+    products for the minors of the last t rows.
+    """
     mat = np.asarray(mat, dtype=np.int64) % p
-    r, dim = mat.shape
-    idx = _subset_array(dim, r)
-    count = idx.shape[0]
-    acc = np.zeros(count, dtype=np.int64)
-    if r == 0:
-        acc[:] = 1
-        return acc
-    for perm in permutations(range(r)):
-        inversions = sum(1 for a in range(r) for b in range(a + 1, r) if perm[a] > perm[b])
-        prod = np.ones(count, dtype=np.int64)
-        for row_i in range(r):
-            prod = prod * mat[row_i, idx[:, perm[row_i]]] % p
-        if inversions & 1:
-            acc = (acc - prod) % p
-        else:
-            acc = (acc + prod) % p
-    return acc
+    minors = np.ones(1, dtype=np.int64)
+    for t, row in enumerate(mat[::-1], start=1):
+        minors = _expand(row, minors, t, p)
+    return minors
 
 
-def frame_rows(rows: np.ndarray, p: int) -> np.ndarray:
-    """Dense tangent-frame generator rows for a point's row matrix, mod p.
+def frame_rows(rows: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
+    """Write a basis of the tangent space at a point into rows of `out`, mod p.
 
-    Row i*(n+1)+j is the generator with point row i replaced by basis vector j,
-    matching the order produced by tangent_frame.
+    `out` is float64 and zero in the rows written; the rows written are
+    returned as a view of it.  Generator (i, j) replaces point row v_i by
+    e_j; expanding along that row, its coordinate at a (k+1)-subset T with
+    j = T[a] is (-1)**(a+i) times the minor of the point without row i on
+    T minus T[a], and 0 when j is not in T.  The Plücker row
+    v_0 ^ ... ^ v_k comes first.  Let J be the subset of its first nonzero
+    coordinate.  Then {v_0..v_k} together with {e_j : j not in J} is a
+    basis of K^{n+1}, so a generator (i, j) with j in J is a multiple of
+    the Plücker row plus generators (i, j') with j' not in J.  The rows are
+    the Plücker row, then the generators (i, j) with j not in J, ordered by
+    i then j: (k+1)(n-k)+1 rows.  A point of rank below k+1 mod p has a
+    zero Plücker row and writes all (k+1)(n+1) generators, ordered the same.
     """
     rows = np.asarray(rows, dtype=np.int64) % p
     d, dim = rows.shape
-    ncols = math.comb(dim, d)
-    sub_idx, tgt_idx, pos_par = _scatter_tables(dim, d)
-    out = np.zeros((d * dim, ncols), dtype=np.int64)
-    for i in range(d):
-        minors = maximal_minors_mod(np.delete(rows, i, axis=0), p)
-        for j in range(dim):
-            vals = minors[sub_idx[j]]
-            flip = (pos_par[j] + i) & 1
-            out[i * dim + j, tgt_idx[j]] = np.where(flip == 0, vals, (p - vals) % p)
-    return out
-
-
-def tangent_basis_rows(rows: np.ndarray, frame: np.ndarray, p: int) -> np.ndarray:
-    """A basis of the tangent space at a point, (k+1)(n-k)+1 rows taken from its frame.
-
-    `frame` is frame_rows(rows, p).  Generator (0, j) replaces row v_0 by
-    e_j, so rows[0] @ frame[:n+1] is the Plücker row v_0 ^ ... ^ v_k; its
-    int64 sum is exact while (n+1)(p-1)**2 < 2**63.  Let J be the
-    (k+1)-subset of its first nonzero coordinate.  Then {v_0..v_k} together
-    with {e_j : j not in J} is a basis of K^{n+1}, so a generator (i, j) with
-    j in J is a multiple of the Plücker row plus generators (i, j') with j'
-    not in J.  The Plücker row and those generators are returned, in that
-    order.  A point of rank below k+1 mod p has a zero Plücker row and keeps
-    its whole frame.
-    """
-    rows = np.asarray(rows, dtype=np.int64) % p
-    d, dim = rows.shape
-    if dim * (p - 1) ** 2 >= 2**63:
-        raise ValueError(f"Plücker row of {dim} columns mod {p} would overflow int64")
-    plucker_row = rows[0] @ frame[:dim] % p
-    nz = np.flatnonzero(plucker_row)
-    if nz.size == 0:
-        return frame
+    minors = np.stack([maximal_minors_mod(np.delete(rows, i, axis=0), p) for i in range(d)])
+    plucker_row = _expand(rows[0], minors[0], d, p)
+    idx = _subset_array(dim, d)
+    nz = plucker_row.nonzero()[0]
     free = np.ones(dim, dtype=bool)
-    free[_subset_array(dim, d)[nz[0]]] = False
-    return np.vstack([plucker_row[None], frame.reshape(d, dim, -1)[:, free].reshape(-1, frame.shape[1])])
+    if nz.size:
+        out[0] = plucker_row
+        free[idx[nz[0]]] = False
+    head = int(nz.size > 0)
+    nfree = int(free.sum())
+    # Entries (T, a) of the table whose generator j = T[a] is written, and
+    # each one's value: minor T minus T[a] of row-deleted matrix i, negated
+    # when a+i is odd ([minors, -minors] holds both signs).
+    hit = free[idx].ravel().nonzero()[0]
+    cols, a = np.divmod(hit, d)
+    slot = (np.cumsum(free) - 1)[idx.ravel()[hit]]
+    i = np.arange(d)[:, None]
+    signed = np.concatenate([minors, (p - minors) % p], axis=1)
+    src = _drop_table(dim, d).ravel()[hit] + minors.shape[1] * ((a + i) & 1)
+    out[head + nfree * i + slot, cols] = signed[i, src]
+    return out[: head + d * nfree]
 
 
 # ---------------------------------------------------------------------------

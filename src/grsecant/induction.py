@@ -36,11 +36,6 @@ def ambient(n: int) -> int:
     return math.comb(n + 1, 3)
 
 
-def conditions_per_point(n: int) -> int:
-    """Affine tangent dimension 3n-5 of the cone over Gr(2,n)."""
-    return 3 * n - 5
-
-
 def f1(n: int) -> int:
     _require(n)
     return math.floor(

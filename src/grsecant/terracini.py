@@ -1,20 +1,23 @@
 """Secant-dimension probes for Gr(k,n) by stacked tangent frames over GF(p).
 
-A probe draws s random points, stacks a basis of the affine tangent space
-at each (the Plücker row plus (k+1)(n-k) tangent-frame generators, see
-grassmann.tangent_basis_rows), plus basis rows of any requested coordinate
-spans, and compares the GF(p) rank of the stack with the expected affine
-dimension.  Hitting the expectation is a valid characteristic-0 certificate
-by semicontinuity; falling short is only circumstantial evidence of a
-defect, so such verdicts are inconclusive and retried with fresh seeds.
+A probe draws s random points, stacks basis rows of any requested
+coordinate spans and then a basis of the affine tangent space at each point
+(the Plücker row plus (k+1)(n-k) tangent-frame generators, written by
+grassmann.frame_rows straight into one float64 stack), and compares the
+GF(p) rank of the stack with the expected affine dimension.  Hitting the
+expectation is a valid characteristic-0 certificate by semicontinuity;
+falling short is only circumstantial evidence of a defect, so such
+verdicts are inconclusive and retried with fresh seeds.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import mmap
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +31,6 @@ from .grassmann import (
     random_point,
     span_unit_rows,
     subgrassmannian_span,
-    tangent_basis_rows,
     tangent_space_dim,
 )
 
@@ -145,14 +147,34 @@ def _sample_points(problem: SecantProblem, trial: int) -> list[GrassPoint]:
     ]
 
 
+def tangent_stack(points: list[GrassPoint], p: int, head: Sequence[np.ndarray] = ()) -> np.ndarray:
+    """The rows of `head`, then a tangent-space basis at each point, as one float64 stack mod p.
+
+    The stack is allocated once with room for every generator of every
+    point, since a point of rank below k+1 mod p writes all of them, and
+    filled in order; the filled rows are returned as a view.  It lives in
+    an anonymous memory map, which starts zeroed and commits a page only
+    when it is first touched, so rows never written cost no memory; taken
+    from the heap, the unused reserve would still raise the heap's
+    high-water mark.
+    """
+    k, n = points[0].k, points[0].n
+    head_rows = sum(len(block) for block in head)
+    shape = (head_rows + len(points) * (k + 1) * (n + 1), math.comb(n + 1, k + 1))
+    stack = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1]), dtype=np.float64).reshape(shape)
+    filled = 0
+    for block in head:
+        stack[filled : filled + len(block)] = block
+        filled += len(block)
+    for pt in points:
+        filled += len(frame_rows(pt.rows, p, stack[filled:]))
+    return stack[:filled]
+
+
 def _stack(problem: SecantProblem, points: list[GrassPoint]) -> np.ndarray:
     dim, d = problem.n + 1, problem.k + 1
-    blocks = [
-        span_unit_rows(subgrassmannian_span(span, d), dim, d) for span in problem.extra_spans
-    ]
-    p = problem.prime
-    blocks.extend(tangent_basis_rows(pt.rows, frame_rows(pt.rows, p), p) for pt in points)
-    return np.vstack(blocks)
+    spans = [span_unit_rows(subgrassmannian_span(span, d), dim, d) for span in problem.extra_spans]
+    return tangent_stack(points, problem.prime, spans)
 
 
 def _monomial_points(problem: SecantProblem) -> list[GrassPoint] | None:

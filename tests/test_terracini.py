@@ -1,12 +1,15 @@
+import collections
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from oracle import full_frame
 
+from grsecant import grassmann, terracini
 from grsecant.codes import monomial_certificate
 from grsecant.fieldcore import DEFAULT_PRIME, SECOND_PRIME, rank_mod_p
-from grsecant.grassmann import CoordinateSubspace, frame_rows, tangent_space_dim
+from grsecant.grassmann import CoordinateSubspace, tangent_space_dim
 from grsecant.terracini import (
     CertificateUnavailable,
     ImpliedRange,
@@ -66,7 +69,7 @@ class TestProbe:
                 problem = SecantProblem(k, n, s, prime=p, seed=seed)
                 points = _sample_points(problem, 0)
                 stack = _stack(problem, points)
-                frames = np.vstack([frame_rows(pt.rows, p) for pt in points])
+                frames = np.vstack([full_frame(pt.rows, p) for pt in points])
                 assert len(stack) == s * tangent_space_dim(k, n)
                 assert rank_mod_p(stack, p) == rank_mod_p(frames, p) == achieved
 
@@ -121,6 +124,46 @@ class TestProbe:
         rec = probe(SecantProblem(2, 6, 3, seed=1)).to_record()
         for key in ("k", "n", "s", "prime", "seed", "trials", "achieved", "expected", "ambient", "verdict", "elapsed_ms"):
             assert key in rec
+
+
+class TestTracedCallSites:
+    """A probe reaches each layer through the module attribute that benchmarks/workloads.py patches."""
+
+    @pytest.mark.parametrize(
+        "strategy, problem, sites",
+        [
+            ("random", SecantProblem(2, 9, 3, seed=1), {"frame_rows", "random_point", "rank_mod_p", "maximal_minors_mod"}),
+            ("auto", SecantProblem(3, 9, 3, seed=1), {"frame_rows", "rank_mod_p", "maximal_minors_mod"}),
+        ],
+    )
+    def test_probe_calls_traced_sites(self, monkeypatch, strategy, problem, sites):
+        calls = collections.Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args):
+                calls[name] += 1
+                if name != "frame_rows":
+                    return original(*args)
+                out = args[2]
+                assert not out.any()
+                written = original(*args)
+                # The returned rows are the rows written: a prefix of `out`,
+                # all nonzero, and nothing after them.
+                assert np.shares_memory(written, out)
+                assert np.array_equal(out.any(axis=1).nonzero()[0], np.arange(written.shape[0]))
+                return written
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for name in ("frame_rows", "random_point", "rank_mod_p"):
+            count(terracini, name)
+        count(grassmann, "maximal_minors_mod")
+        v = probe(problem, strategy)
+        assert v.verdict.is_certified()
+        assert {name for name in calls if calls[name]} == sites
+        assert calls["frame_rows"] == problem.s
 
 
 class TestStrategies:
