@@ -70,19 +70,24 @@ def _emit(config: RunConfig, record: dict, *lines: str):
 
 
 def _run_cached(config: RunConfig, command: str, parameters: dict, prime: int, compute):
-    """Replay a cached record or compute, append and return it."""
+    """Replay a cached record, or compute and return it.
+
+    A computed record is appended only when the cache has no sound line for
+    its key: with --no-cache the first sound line would still win every
+    later replay, so a second line could never be read.
+    """
     payload = _record(command, parameters, prime=prime, seed=config.seed)
     # The kernel tag is hashed but not stored: a record computed by another
     # elimination kernel is never replayed.
     key = cache_key(dict(payload, kernel=KERNEL))
-    if config.read_cache:
-        hit = config.cache.get(key)
-        if hit is not None:
-            return hit
+    hit = config.cache.get(key)
+    if hit is not None and config.read_cache:
+        return hit
     t0 = time.perf_counter()
     result = compute()
     record = dict(payload, result=result, elapsed_ms=int((time.perf_counter() - t0) * 1000))
-    config.cache.put(key, record)
+    if hit is None:
+        config.cache.put(key, record)
     return record
 
 

@@ -32,22 +32,6 @@ def subset_rank(indices: Sequence[int]) -> int:
     return r
 
 
-def subset_unrank(r: int, n: int, d: int) -> tuple[int, ...]:
-    """The d-subset of {0, ..., n} with colex rank r (combinadic decoding)."""
-    total = math.comb(n + 1, d)
-    if not 0 <= r < total:
-        raise ValueError(f"rank {r} out of range [0, {total})")
-    out: list[int] = []
-    rr = r
-    for t in range(d, 0, -1):
-        c = t - 1
-        while math.comb(c + 1, t) <= rr:
-            c += 1
-        out.append(c)
-        rr -= math.comb(c, t)
-    return tuple(reversed(out))
-
-
 def subsets_colex(dim: int, d: int) -> Iterator[tuple[int, ...]]:
     """All d-subsets of {0, ..., dim-1} in colexicographic order."""
     if d == 0:
@@ -232,29 +216,6 @@ def wedge_vectors(vectors: Sequence[Sequence[int]], dim: int | None = None) -> M
     return Multivector(dim, d, terms)
 
 
-def apply_linear_map(m, omega: Multivector) -> Multivector:
-    """Push omega through the linear map sending e_i to column i of m."""
-    mat = np.asarray(m)
-    if mat.shape != (omega.dim, omega.dim):
-        raise ValueError("basis-change matrix has wrong shape")
-    cols = [[int(mat[r, i]) for r in range(omega.dim)] for i in range(omega.dim)]
-    out = Multivector.zero(omega.dim, omega.degree)
-    for idx, c in omega.terms.items():
-        out = out + wedge_vectors([cols[i] for i in idx], omega.dim).scaled(c)
-    return out
-
-
-def random_unimodular(rng: np.random.Generator, dim: int, steps: int = 8, bound: int = 2) -> np.ndarray:
-    """Product of random integer shears: a determinant-1 change of basis."""
-    g = np.eye(dim, dtype=np.int64)
-    for _ in range(steps):
-        i, j = rng.choice(dim, size=2, replace=False)
-        shear = np.eye(dim, dtype=np.int64)
-        shear[i, j] = int(rng.integers(-bound, bound + 1))
-        g = g @ shear
-    return g
-
-
 # ---------------------------------------------------------------------------
 # The 21x21 contraction pairing on 2-vectors in dimension 7.
 
@@ -349,11 +310,3 @@ def parse_tensor(text: str) -> Multivector:
     if dim is None or degree is None:
         raise ValueError("missing 'dim ... degree ...' header")
     return Multivector(dim, degree, terms)
-
-
-def format_tensor(mv: Multivector, one_based: bool = False) -> str:
-    shift = 1 if one_based else 0
-    lines = [f"dim {mv.dim} degree {mv.degree}" + (" one_based" if one_based else "")]
-    for idx in sorted(mv.terms, key=subset_rank):
-        lines.append(f"{' '.join(str(i + shift) for i in idx)} : {mv.terms[idx]}")
-    return "\n".join(lines) + "\n"

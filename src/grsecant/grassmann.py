@@ -1,12 +1,13 @@
-"""Points of Gr(k,n) over GF(p): Plücker images, tangent frames, coordinate spans.
+"""Points of Gr(k,n) over GF(p): Plücker images, tangent-space bases, coordinate spans.
 
 A point is stored as a full-rank (k+1) x (n+1) row matrix, not as a Plücker
-vector, so that tangent frames can be generated from it.  The affine tangent
-space at a point is spanned by the wedges obtained by replacing one row with
-one basis vector; its dimension is (k+1)(n-k)+1.  The probers' fast path,
-frame_rows, writes a basis of it (the Plücker row and the generators off
-one nonzero Plücker coordinate) into float64 rows, from maximal minors
-computed by row-by-row Laplace expansion.
+vector, so that its tangent space can be generated from it.  The affine
+tangent space at a point is spanned by the wedges obtained by replacing one
+row with one basis vector; its dimension is (k+1)(n-k)+1.  frame_rows
+writes a basis of it (the Plücker row and the generators off one nonzero
+Plücker coordinate) into float64 rows, from maximal minors computed by
+row-by-row Laplace expansion.  Every point it is handed must have full
+rank mod p, as the sampled, coordinate and demo points do.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ MAX_SAMPLE_ATTEMPTS = 8
 
 
 class RankDrop(RuntimeError):
-    """A tangent frame (or sampled point) failed to reach its expected rank."""
+    """A sampled point failed to reach full rank mod p."""
 
 
 @dataclass(frozen=True)
@@ -64,15 +65,6 @@ class GrassPoint:
             raise ValueError("row matrix is rank deficient")
 
 
-@dataclass
-class TangentFrame:
-    """Generators of the affine tangent space at a point, one per (row, basis vector)."""
-
-    point: GrassPoint
-    generators: list[Multivector]
-    rank: int
-
-
 def coordinate_point(k: int, n: int, indices: Sequence[int]) -> GrassPoint:
     """The point spanned by the basis vectors named in `indices`."""
     idx = tuple(sorted(indices))
@@ -94,29 +86,11 @@ def tangent_space_dim(k: int, n: int) -> int:
     return (k + 1) * (n - k) + 1
 
 
-def tangent_frame(pt: GrassPoint, p: int = DEFAULT_PRIME) -> TangentFrame:
-    """All row-replacement wedges at pt, with their span verified over GF(p)."""
-    rows = pt.rows.tolist()
-    gens: list[Multivector] = []
-    for i in range(pt.k + 1):
-        for j in range(pt.n + 1):
-            ej = [0] * (pt.n + 1)
-            ej[j] = 1
-            replaced = rows[:i] + [ej] + rows[i + 1 :]
-            gens.append(wedge_vectors(replaced, pt.n + 1))
-    stacked = np.array([g.dense(p) for g in gens], dtype=np.int64)
-    rank = rank_mod_p(stacked, p)
-    expected = tangent_space_dim(pt.k, pt.n)
-    if rank != expected:
-        raise RankDrop(f"tangent frame rank {rank}, expected {expected}")
-    return TangentFrame(pt, gens, rank)
-
-
 # ---------------------------------------------------------------------------
-# Dense fast path used by the probers.  Each frame generator keeps one point
-# row replaced by a basis vector; expanding the determinant along that row
-# reduces every generator to signed k x k minors of the row-deleted matrix.
-# One table per (dim, t) drives the minors, the Plücker row and the scatter.
+# Tangent-space bases.  Each frame generator keeps one point row replaced
+# by a basis vector; expanding the determinant along that row reduces every
+# generator to signed k x k minors of the row-deleted matrix.  One table
+# per (dim, t) drives the minors, the Plücker row and the scatter.
 
 
 @lru_cache(maxsize=None)
@@ -182,20 +156,21 @@ def frame_rows(rows: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
     the Plücker row plus generators (i, j') with j' not in J.  The rows are
     the Plücker row, then the generators (i, j) with j not in J, ordered by
     i then j: (k+1)(n-k)+1 rows.  A point of rank below k+1 mod p has a
-    zero Plücker row and writes all (k+1)(n+1) generators, ordered the same.
+    zero Plücker row and no such basis; it raises ValueError, with nothing
+    written.
     """
     rows = np.asarray(rows, dtype=np.int64) % p
     d, dim = rows.shape
     minors = np.stack([maximal_minors_mod(np.delete(rows, i, axis=0), p) for i in range(d)])
     plucker_row = _expand(rows[0], minors[0], d, p)
-    idx = _subset_array(dim, d)
     nz = plucker_row.nonzero()[0]
+    if not nz.size:
+        raise ValueError(f"point has rank below {d} mod {p}: zero Plücker row")
+    idx = _subset_array(dim, d)
     free = np.ones(dim, dtype=bool)
-    if nz.size:
-        out[0] = plucker_row
-        free[idx[nz[0]]] = False
-    head = int(nz.size > 0)
-    nfree = int(free.sum())
+    free[idx[nz[0]]] = False
+    out[0] = plucker_row
+    nfree = dim - d
     # Entries (T, a) of the table whose generator j = T[a] is written, and
     # each one's value: minor T minus T[a] of row-deleted matrix i, negated
     # when a+i is odd ([minors, -minors] holds both signs).
@@ -205,32 +180,8 @@ def frame_rows(rows: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
     i = np.arange(d)[:, None]
     signed = np.concatenate([minors, (p - minors) % p], axis=1)
     src = _drop_table(dim, d).ravel()[hit] + minors.shape[1] * ((a + i) & 1)
-    out[head + nfree * i + slot, cols] = signed[i, src]
-    return out[: head + d * nfree]
-
-
-# ---------------------------------------------------------------------------
-# Coordinate-point machinery (monomial technique).
-
-
-def monomial_tangent_basis(a: Sequence[int], k: int, n: int) -> list[tuple[int, ...]]:
-    """Index sets spanning the tangent space at a coordinate point.
-
-    These are the (k+1)-subsets of {0..n} meeting `a` in at least k elements:
-    the set itself plus one swap of an element of `a` for an outside one.
-    """
-    a = tuple(sorted(a))
-    if len(a) != k + 1:
-        raise ValueError(f"coordinate point needs {k + 1} indices")
-    inside = set(a)
-    out: list[tuple[int, ...]] = [a]
-    for x in a:
-        for y in range(n + 1):
-            if y in inside:
-                continue
-            out.append(tuple(sorted(set(a) - {x} | {y})))
-    out.sort(key=subset_rank)
-    return out
+    out[1 + nfree * i + slot, cols] = signed[i, src]
+    return out[: 1 + d * nfree]
 
 
 def random_point(

@@ -74,12 +74,6 @@ def s2(n: int) -> int:
     return math.ceil(Fraction(n * n, 18) + Fraction(7 * n, 27) - Fraction(73, 81))
 
 
-def s1_intro(n: int) -> int:
-    """Two-floor closed form; identical to s1 (the floor arguments are equal)."""
-    _require(n)
-    return math.floor(Fraction(n * n, 18) - Fraction(20 * n, 27) + Fraction(287, 81)) + points_kept_floor(n)
-
-
 def s2_intro(n: int) -> int:
     """Two-ceiling closed form f2(n) + ceil((6n-13)/9); can exceed s2 by one."""
     _require(n)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import math
-import mmap
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -150,25 +149,19 @@ def _sample_points(problem: SecantProblem, trial: int) -> list[GrassPoint]:
 def tangent_stack(points: list[GrassPoint], p: int, head: Sequence[np.ndarray] = ()) -> np.ndarray:
     """The rows of `head`, then a tangent-space basis at each point, as one float64 stack mod p.
 
-    The stack is allocated once with room for every generator of every
-    point, since a point of rank below k+1 mod p writes all of them, and
-    filled in order; the filled rows are returned as a view.  It lives in
-    an anonymous memory map, which starts zeroed and commits a page only
-    when it is first touched, so rows never written cost no memory; taken
-    from the heap, the unused reserve would still raise the heap's
-    high-water mark.
+    Each point writes exactly tangent_space_dim(k, n) rows, so the stack is
+    allocated once at its final size and filled in order.
     """
     k, n = points[0].k, points[0].n
     head_rows = sum(len(block) for block in head)
-    shape = (head_rows + len(points) * (k + 1) * (n + 1), math.comb(n + 1, k + 1))
-    stack = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1]), dtype=np.float64).reshape(shape)
+    stack = np.zeros((head_rows + len(points) * tangent_space_dim(k, n), math.comb(n + 1, k + 1)))
     filled = 0
     for block in head:
         stack[filled : filled + len(block)] = block
         filled += len(block)
     for pt in points:
         filled += len(frame_rows(pt.rows, p, stack[filled:]))
-    return stack[:filled]
+    return stack
 
 
 def _stack(problem: SecantProblem, points: list[GrassPoint]) -> np.ndarray:

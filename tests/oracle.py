@@ -1,19 +1,32 @@
-"""Slow reference implementations, for differential tests only.
+"""Slow reference implementations and test-only helpers, for tests only.
 
 `rank_mod_p_reference` is the column-by-column int64 row reduction that
 `fieldcore.rank_mod_p` replaced.  Products of two reduced entries stay
 below 2**63 for every p < 2**31, so it is exact for every prime the package
 accepts.  `maximal_minors_reference` and `full_frame` are the permutation
 expansion and the full tangent frame that `grassmann.maximal_minors_mod`
-and `grassmann.frame_rows` replaced.
+and `grassmann.frame_rows` replaced; `tangent_frame` builds the same frame
+from exact wedges and checks its rank.
+
+The rest are helpers no package code calls: `monomial_tangent_basis` (the
+index sets of the tangent space at a coordinate point), `subset_unrank`,
+`apply_linear_map`, `random_unimodular` and `format_tensor` on the exterior
+algebra, `random_tensor` for Gr(2,6), and `s1_intro`, the paper's
+two-floor closed form of `induction.s1`.
 """
 
 import math
-from itertools import permutations
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations, permutations
+from typing import Sequence
 
 import numpy as np
 
-from grsecant.extalg import subset_rank, subsets_colex
+from grsecant.extalg import Multivector, subset_rank, subsets_colex, wedge_vectors
+from grsecant.fieldcore import DEFAULT_PRIME, rank_mod_p
+from grsecant.grassmann import GrassPoint, RankDrop, tangent_space_dim
+from grsecant.induction import _require, points_kept_floor
 
 
 def rank_mod_p_reference(mat, p: int) -> int:
@@ -95,8 +108,8 @@ def full_frame(rows, p: int) -> np.ndarray:
     """Every tangent-frame generator of a point's row matrix, as int64 rows mod p.
 
     Row i*(n+1)+j is the wedge with point row i replaced by basis vector j,
-    in the order of `grassmann.tangent_frame`: all (k+1)(n+1) generators,
-    of which `grassmann.frame_rows` writes only a basis.
+    in the order of `tangent_frame`: all (k+1)(n+1) generators, of which
+    `grassmann.frame_rows` writes only a basis.
     """
     rows = np.asarray(rows, dtype=np.int64) % p
     d, dim = rows.shape
@@ -109,3 +122,109 @@ def full_frame(rows, p: int) -> np.ndarray:
             flip = (pos_par[j] + i) & 1
             out[i * dim + j, tgt_idx[j]] = np.where(flip == 0, vals, (p - vals) % p)
     return out
+
+
+@dataclass
+class TangentFrame:
+    """Generators of the affine tangent space at a point, one per (row, basis vector)."""
+
+    point: GrassPoint
+    generators: list[Multivector]
+    rank: int
+
+
+def tangent_frame(pt: GrassPoint, p: int = DEFAULT_PRIME) -> TangentFrame:
+    """All row-replacement wedges at pt, with their span verified over GF(p)."""
+    rows = pt.rows.tolist()
+    gens: list[Multivector] = []
+    for i in range(pt.k + 1):
+        for j in range(pt.n + 1):
+            ej = [0] * (pt.n + 1)
+            ej[j] = 1
+            replaced = rows[:i] + [ej] + rows[i + 1 :]
+            gens.append(wedge_vectors(replaced, pt.n + 1))
+    stacked = np.array([g.dense(p) for g in gens], dtype=np.int64)
+    rank = rank_mod_p(stacked, p)
+    expected = tangent_space_dim(pt.k, pt.n)
+    if rank != expected:
+        raise RankDrop(f"tangent frame rank {rank}, expected {expected}")
+    return TangentFrame(pt, gens, rank)
+
+
+def monomial_tangent_basis(a: Sequence[int], k: int, n: int) -> list[tuple[int, ...]]:
+    """Index sets spanning the tangent space at a coordinate point.
+
+    These are the (k+1)-subsets of {0..n} meeting `a` in at least k elements:
+    the set itself plus one swap of an element of `a` for an outside one.
+    """
+    a = tuple(sorted(a))
+    if len(a) != k + 1:
+        raise ValueError(f"coordinate point needs {k + 1} indices")
+    inside = set(a)
+    out: list[tuple[int, ...]] = [a]
+    for x in a:
+        for y in range(n + 1):
+            if y in inside:
+                continue
+            out.append(tuple(sorted(set(a) - {x} | {y})))
+    out.sort(key=subset_rank)
+    return out
+
+
+def subset_unrank(r: int, n: int, d: int) -> tuple[int, ...]:
+    """The d-subset of {0, ..., n} with colex rank r (combinadic decoding)."""
+    total = math.comb(n + 1, d)
+    if not 0 <= r < total:
+        raise ValueError(f"rank {r} out of range [0, {total})")
+    out: list[int] = []
+    rr = r
+    for t in range(d, 0, -1):
+        c = t - 1
+        while math.comb(c + 1, t) <= rr:
+            c += 1
+        out.append(c)
+        rr -= math.comb(c, t)
+    return tuple(reversed(out))
+
+
+def apply_linear_map(m, omega: Multivector) -> Multivector:
+    """Push omega through the linear map sending e_i to column i of m."""
+    mat = np.asarray(m)
+    if mat.shape != (omega.dim, omega.dim):
+        raise ValueError("basis-change matrix has wrong shape")
+    cols = [[int(mat[r, i]) for r in range(omega.dim)] for i in range(omega.dim)]
+    out = Multivector.zero(omega.dim, omega.degree)
+    for idx, c in omega.terms.items():
+        out = out + wedge_vectors([cols[i] for i in idx], omega.dim).scaled(c)
+    return out
+
+
+def random_unimodular(rng: np.random.Generator, dim: int, steps: int = 8, bound: int = 2) -> np.ndarray:
+    """Product of random integer shears: a determinant-1 change of basis."""
+    g = np.eye(dim, dtype=np.int64)
+    for _ in range(steps):
+        i, j = rng.choice(dim, size=2, replace=False)
+        shear = np.eye(dim, dtype=np.int64)
+        shear[i, j] = int(rng.integers(-bound, bound + 1))
+        g = g @ shear
+    return g
+
+
+def format_tensor(mv: Multivector, one_based: bool = False) -> str:
+    shift = 1 if one_based else 0
+    lines = [f"dim {mv.dim} degree {mv.degree}" + (" one_based" if one_based else "")]
+    for idx in sorted(mv.terms, key=subset_rank):
+        lines.append(f"{' '.join(str(i + shift) for i in idx)} : {mv.terms[idx]}")
+    return "\n".join(lines) + "\n"
+
+
+def random_tensor(rng: np.random.Generator, bound: int = 5) -> Multivector:
+    """Dense random integral tensor: every coordinate uniform in [-bound, bound]."""
+    terms = {idx: int(rng.integers(-bound, bound + 1)) for idx in combinations(range(7), 3)}
+    return Multivector(7, 3, terms)
+
+
+def s1_intro(n: int) -> int:
+    """Two-floor closed form; identical to s1 (the floor arguments are equal)."""
+    _require(n)
+    return math.floor(Fraction(n * n, 18) - Fraction(20 * n, 27) + Fraction(287, 81)) + points_kept_floor(n)

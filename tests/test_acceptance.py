@@ -9,15 +9,13 @@ import math
 import time
 
 import numpy as np
-from oracle import full_frame
+from oracle import apply_linear_map, full_frame, random_tensor, random_unimodular, s1_intro
 
 from grsecant import induction
 from grsecant.codes import monomial_certificate
 from grsecant.extalg import (
     Multivector,
-    apply_linear_map,
     pairing_matrix,
-    random_unimodular,
     wedge,
     wedge_vectors,
 )
@@ -29,7 +27,6 @@ from grsecant.gr26 import (
     fano_tensor,
     five_term_identity,
     random_secant_point,
-    random_tensor,
 )
 from grsecant.grassmann import (
     CoordinateSubspace,
@@ -171,7 +168,7 @@ def test_criterion_9_formula_suite():
     for n in range(9, 10_001):
         v1, v2 = induction.s1(n), induction.s2(n)
         # s1 agrees with the two-floor intro form everywhere.
-        ok = ok and v1 == induction.s1_intro(n) == f1_oracle(n) + kept_floor(n)
+        ok = ok and v1 == s1_intro(n) == f1_oracle(n) + kept_floor(n)
         # s2 vs the two-ceiling intro form: equal, or the mismatch is reported.
         intro2 = f2_oracle(n) + kept_ceil(n)
         ok = ok and induction.s2_intro(n) == intro2

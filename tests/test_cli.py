@@ -7,12 +7,12 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from oracle import format_tensor
 
 from grsecant import __version__
 from grsecant import cache as cache_module
 from grsecant.cache import cache_key
 from grsecant.cli import main
-from grsecant.extalg import format_tensor
 from grsecant.gr26 import fano_tensor
 
 
@@ -89,9 +89,25 @@ class TestCache:
         first = invoke(runner, tmp_path, *args)
         fresh = invoke(runner, tmp_path, "--no-cache", *args)
         cache_file = tmp_path / "cache" / "results.jsonl"
-        assert len(cache_file.read_text().splitlines()) == 2
+        assert len(cache_file.read_text().splitlines()) == 1
         a, b = json.loads(first.output), json.loads(fresh.output)
         assert a["result"] == b["result"]
+
+    def test_no_cache_appends_when_no_line_is_sound(self, runner, tmp_path):
+        args, first, cache_file, line = _cold_check(runner, tmp_path, "-k", "2", "-n", "6", "-s", "3")
+        entry = json.loads(line)
+        entry["record"]["result"]["deficit"] = 2
+        bad = json.dumps(entry, sort_keys=True)
+        cache_file.write_text(bad + "\n")
+        fresh = invoke(runner, tmp_path, "--no-cache", *args)
+        assert fresh.exit_code == 0
+        assert json.loads(fresh.stdout)["result"] == json.loads(first.stdout)["result"]
+        lines = cache_file.read_text().splitlines()
+        assert len(lines) == 2 and lines[0] == bad
+        # Later runs replay the appended line.
+        again = invoke(runner, tmp_path, *args)
+        assert again.stdout == fresh.stdout
+        assert cache_file.read_text().splitlines() == lines
 
     def test_torn_line_is_skipped_with_warning(self, runner, tmp_path):
         args = ["--json", "check", "-k", "2", "-n", "6", "-s", "3"]

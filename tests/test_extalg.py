@@ -5,17 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import apply_linear_map, format_tensor, random_unimodular, subset_unrank
 
 from grsecant.extalg import (
     Multivector,
-    apply_linear_map,
-    format_tensor,
     merge_sign,
     pairing_matrix,
     parse_tensor,
-    random_unimodular,
     subset_rank,
-    subset_unrank,
     subsets_colex,
     wedge,
     wedge_vectors,

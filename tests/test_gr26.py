@@ -1,8 +1,10 @@
 import numpy as np
+from oracle import apply_linear_map, random_tensor, random_unimodular
 
-from grsecant.extalg import Multivector, apply_linear_map, pairing_matrix, random_unimodular
+from grsecant.extalg import Multivector, pairing_matrix, wedge_vectors
 from grsecant.fieldcore import DEFAULT_PRIME, cube_root_mod_p
 from grsecant.gr26 import (
+    _span_check,
     classify,
     degree7_invariant,
     demo_gr28,
@@ -13,8 +15,8 @@ from grsecant.gr26 import (
     five_term_tensor,
     random_decomposable,
     random_secant_point,
-    random_tensor,
 )
+from grsecant.grassmann import GrassPoint, coordinate_point
 
 
 def blade1(indices, coeff=1):
@@ -171,6 +173,16 @@ class TestDemos:
         assert report.achieved_rank == 74
         assert report.expected_rank == 76
         assert report.ambient == 84
+
+    def test_span_check_fails_outside_the_tangent_span(self):
+        p1, p2 = coordinate_point(3, 7, range(4)), coordinate_point(3, 7, range(4, 8))
+        p3 = GrassPoint(3, 7, np.hstack([np.eye(4), np.eye(4)]))
+        curve = [wedge_vectors(np.hstack([np.eye(4), t * np.eye(4)]).astype(int).tolist(), 8) for t in (2, 3, 5, 7, 11)]
+        assert _span_check([p1, p2, p3], curve, DEFAULT_PRIME) == (5, 50)
+        # The tangent spaces at p1 and p2 alone span 34 dimensions and miss the curve.
+        assert _span_check([p1, p2], curve, DEFAULT_PRIME) == (5, 35)
+        extra = wedge_vectors(np.random.default_rng(0).integers(-3, 4, size=(4, 8)).tolist(), 8)
+        assert _span_check([p1, p2, p3], curve + [extra], DEFAULT_PRIME) == (6, 51)
 
     def test_reports_serialize(self):
         rec = demo_gr37().to_record()

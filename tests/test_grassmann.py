@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from oracle import full_frame, maximal_minors_reference
+from oracle import full_frame, maximal_minors_reference, monomial_tangent_basis, subset_unrank, tangent_frame
 
-from grsecant.extalg import Multivector, subset_rank, subset_unrank
+from grsecant.extalg import Multivector, subset_rank
 from grsecant.fieldcore import DEFAULT_PRIME, MAX_PRIME, SECOND_PRIME, rank_mod_p
 from grsecant.grassmann import (
     CoordinateSubspace,
@@ -12,12 +12,10 @@ from grsecant.grassmann import (
     coordinate_point,
     frame_rows,
     maximal_minors_mod,
-    monomial_tangent_basis,
     pluecker,
     random_point,
     span_unit_rows,
     subgrassmannian_span,
-    tangent_frame,
     tangent_space_dim,
 )
 
@@ -143,18 +141,15 @@ class TestTangentBasisRows:
     @pytest.mark.parametrize("p", [7, P, SECOND_PRIME])
     def test_rows_match_oracle_frame(self, k, n, p):
         # The Plücker row, then the oracle's generators (i, j) with j outside
-        # the subset of its first nonzero coordinate (the whole frame when it
-        # vanishes mod p), written into a zeroed buffer and nowhere else.
+        # the subset of its first nonzero coordinate, written into a zeroed
+        # buffer and nowhere else.
         d, dim = k + 1, n + 1
         for pt in _basis_points(k, n):
             frame = full_frame(pt.rows, p)
             plucker_row = maximal_minors_reference(pt.rows, p)
-            if plucker_row.any():
-                J = subset_unrank(int(np.flatnonzero(plucker_row)[0]), n, d)
-                keep = [i * dim + j for i in range(d) for j in range(dim) if j not in J]
-                expected = np.vstack([plucker_row[None], frame[keep]])
-            else:
-                expected = frame
+            J = subset_unrank(int(np.flatnonzero(plucker_row)[0]), n, d)
+            keep = [i * dim + j for i in range(d) for j in range(dim) if j not in J]
+            expected = np.vstack([plucker_row[None], frame[keep]])
             out = np.zeros((d * dim + 2, math.comb(dim, d)))
             basis = frame_rows(pt.rows, p, out)
             assert basis.dtype == np.float64 and np.shares_memory(basis, out)
@@ -162,11 +157,15 @@ class TestTangentBasisRows:
             assert not out[len(basis) :].any()
 
     def test_point_rank_deficient_mod_p_keeps_whole_frame(self):
+        # A point of rank below k+1 mod p has no tangent basis: nothing is written.
         for p in (3, 7):
             for rows in ([[1, 0, 0, 0], [p, 0, 2 * p, 0]], [[1, 2, 0, 0, 1], [0, p, 0, 0, 0], [0, 0, 1, 0, 1]]):
-                frame = full_frame(rows, p)
                 assert not maximal_minors_mod(rows, p).any()
-                assert np.array_equal(basis_rows(np.array(rows), p), frame)
+                d, dim = np.shape(rows)
+                out = np.zeros((d * dim, math.comb(dim, d)))
+                with pytest.raises(ValueError):
+                    frame_rows(np.array(rows), p, out)
+                assert not out.any()
 
     def test_int64_bound(self):
         rows = np.eye(2, 5, dtype=np.int64)

@@ -166,6 +166,26 @@ class TestTracedCallSites:
         assert calls["frame_rows"] == problem.s
 
 
+class TestTangentStack:
+    @pytest.mark.parametrize("k, n", [(1, 11), (2, 11), (3, 11), (4, 11)])
+    @pytest.mark.parametrize("spans", [False, True])
+    def test_exact_size_and_no_zero_row(self, k, n, spans):
+        # Three constrained points, one random and two coordinate points,
+        # under the unit rows of three coordinate spans or under nothing.
+        L = CoordinateSubspace(n, tuple(range(4, n + 1)))
+        M = CoordinateSubspace(n, tuple(range(0, 4)) + tuple(range(8, n + 1)))
+        N = CoordinateSubspace(n, tuple(range(0, 8)))
+        problem = SecantProblem(k, n, 4, seed=2, point_constraints=(L, M, N, None), extra_spans=(L, M, N) if spans else ())
+        points = _sample_points(problem, 0) + [
+            grassmann.coordinate_point(k, n, range(k + 1)),
+            grassmann.coordinate_point(k, n, range(n - k, n + 1)),
+        ]
+        head_rows = sum(math.comb(span.dim, k + 1) for span in problem.extra_spans)
+        stack = _stack(problem, points)
+        assert stack.shape == (head_rows + len(points) * tangent_space_dim(k, n), problem.ambient)
+        assert stack.any(axis=1).all()
+
+
 class TestStrategies:
     def test_monomial_matches_random(self):
         pm = probe(SecantProblem(2, 12, 4, seed=0), strategy="monomial")
