@@ -94,10 +94,7 @@ def _run_cached(config: RunConfig, command: str, parameters: dict, prime: int, c
 def _probe_record(config: RunConfig, k: int, n: int, s: int, prime: int, strategy: str) -> dict:
     def compute():
         problem = SecantProblem(k=k, n=n, s=s, prime=prime, seed=config.seed, trials=config.trials)
-        verdict = probe(problem, strategy=strategy)
-        result = verdict.to_record()
-        result.pop("elapsed_ms", None)
-        return result
+        return probe(problem, strategy=strategy).to_record()
 
     parameters = {"k": k, "n": n, "s": s, "strategy": strategy, "trials": config.trials}
     return _run_cached(config, "probe", parameters, prime, compute)

@@ -1,16 +1,17 @@
-"""Exact arithmetic substrate: GF(p) ranks, integer determinants, cube roots.
+"""Exact arithmetic substrate: GF(p) ranks; integer ranks, determinants and cube roots.
 
-GF(p) elimination runs in float64, which represents every integer of
-magnitude at most 2**53 exactly.  Every product the kernel forms is of two
-entries reduced into [0, p), and no value takes more than GEMM_DEPTH such
-products between two reductions: the forward substitution of a block
-counts the products its rows have taken (its depth) and reduces the whole
-block before the count would pass GEMM_DEPTH, and inside its block a row
-takes fewer than BLOCK_ROWS <= GEMM_DEPTH products before it is reduced.
-So every value stays below GEMM_DEPTH * (p-1)**2 + p < 2**53 and is exact
-through the products, the subtractions and the reduction.  MAX_PRIME is
-the largest prime meeting that bound; larger moduli are refused.  Exact
-work over the integers uses Python integers.
+GF(p) elimination computes ranks only, in float64, which represents every
+integer of magnitude at most 2**53 exactly.  Every product the kernel
+forms is of two entries reduced into [0, p), and no value takes more than
+GEMM_DEPTH such products between two reductions: the forward substitution
+of a block counts the products its rows have taken (its depth) and reduces
+the whole block before the count would pass GEMM_DEPTH, and inside its
+block a row takes fewer than BLOCK_ROWS <= GEMM_DEPTH products before it
+is reduced.  So every value stays below GEMM_DEPTH * (p-1)**2 + p < 2**53
+and is exact through the products, the subtractions and the reduction.
+MAX_PRIME is the largest prime meeting that bound; larger moduli are
+refused.  Exact work over the integers (ranks, determinants, cube roots)
+uses Python integers.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_PRIME = 32003
-# Second prime for re-running probabilistic verdicts.  65521 is rejected
-# because 65521 = 1 (mod 3) kills the unique-cube-root trick.
+# Second prime for re-running probabilistic verdicts; cached records, tests
+# and the benchmark use this value.
 SECOND_PRIME = 46337
 
 # Exact determinants are only meaningful at pairing-matrix scale.
@@ -66,14 +67,12 @@ def _largest_exact_prime() -> int:
 MAX_PRIME = _largest_exact_prime()
 
 
-def validate_prime(p: int, *, cube_roots: bool = False) -> int:
-    """Check that p is an odd prime up to MAX_PRIME (and p = 2 mod 3 when cube roots are needed)."""
+def validate_prime(p: int) -> int:
+    """Check that p is an odd prime up to MAX_PRIME."""
     if p > MAX_PRIME:
         raise ValueError(f"prime {p} exceeds MAX_PRIME = {MAX_PRIME}, the largest with exact float64 elimination")
     if p <= 2 or not is_prime(p):
         raise ValueError(f"modulus {p} is not an odd prime")
-    if cube_roots and p % 3 != 2:
-        raise ValueError(f"prime {p} is not 2 mod 3; cube roots are not unique")
     return p
 
 
@@ -136,7 +135,7 @@ def _forward(
             B[hit] -= C[hit] @ E[lo:hi]
 
 
-def _eliminate_block(B: np.ndarray, E: np.ndarray, r: int, p: int, work: np.ndarray) -> list[tuple[int, int]]:
+def _eliminate_block(B: np.ndarray, E: np.ndarray, r: int, p: int, work: np.ndarray) -> list[int]:
     """Gauss-Jordan elimination of a block whose rows are clear of E[:r].
 
     The independent rows are written, reduced on each other's pivots and
@@ -146,16 +145,16 @@ def _eliminate_block(B: np.ndarray, E: np.ndarray, r: int, p: int, work: np.ndar
     touch only the slice, and its new pivots are then cleared from the rows
     found before it (a second GEMM).  A slice enters reduced and takes
     fewer than len(B) <= GEMM_DEPTH products before each row is reduced.
-    Returns (pivot column, pivot value before scaling) per independent row.
+    Returns the pivot column of each independent row.
     """
-    found: list[tuple[int, int]] = []
+    found: list[int] = []
     prod, quot = work[0], work[1]
     for lo in range(0, len(B), SLICE_ROWS):
         S = B[lo : lo + SLICE_ROWS]
         _reduce(S, p, quot[: len(S)])
         f = len(found)
         if f:
-            C = S[:, [c for c, _ in found]]
+            C = S[:, found]
             if C.any():
                 S -= np.matmul(C, E[r : r + f], out=prod[: len(S)])
         new = []
@@ -165,8 +164,7 @@ def _eliminate_block(B: np.ndarray, E: np.ndarray, r: int, p: int, work: np.ndar
             if nz.size == 0:
                 continue
             c = int(nz[0])
-            v = int(row[c])
-            row *= pow(v, -1, p)
+            row *= pow(int(row[c]), -1, p)
             _reduce(row, p)
             col = _reduce(S[:, c].copy(), p)
             col[i] = 0
@@ -176,13 +174,13 @@ def _eliminate_block(B: np.ndarray, E: np.ndarray, r: int, p: int, work: np.ndar
             elif hit.size:
                 S[hit] -= col[hit, None] * row
             new.append(i)
-            found.append((c, v))
+            found.append(c)
         if not new:
             continue
         N = _reduce(S[new], p)
         if f:
             F = E[r : r + f]
-            C = F[:, [c for c, _ in found[f:]]]
+            C = F[:, found[f:]]
             if C.any():
                 F -= np.matmul(C, N, out=prod[:f])
                 _reduce(F, p, quot[:f])
@@ -190,18 +188,17 @@ def _eliminate_block(B: np.ndarray, E: np.ndarray, r: int, p: int, work: np.ndar
     return found
 
 
-def _echelon(mat, p: int) -> tuple[list[int], list[int]]:
-    """Blocked incremental echelon form of an integer matrix over GF(p).
+def rank_mod_p(mat, p: int = DEFAULT_PRIME) -> int:
+    """Rank of an integer matrix over GF(p), for 1 < p <= MAX_PRIME.
 
-    The basis E grows one block of BLOCK_ROWS input rows at a time: the
-    block is cleared of E's pivot columns (_forward), eliminated internally
-    (_eliminate_block), and its independent rows are appended to E as a
-    new block.  Nothing is back-substituted, so E is block triangular: each
-    block is the identity on its own pivot columns and zero on those of
-    earlier blocks.  E and the scratch space are allocated once, and every
-    other temporary has at most BLOCK_ROWS rows.  Returns the pivot column
-    and the pivot value (before scaling) of each independent input row, in
-    input-row order.
+    Blocked incremental echelon form: the basis E grows one block of
+    BLOCK_ROWS input rows at a time.  The block is cleared of E's pivot
+    columns (_forward), eliminated internally (_eliminate_block), and its
+    independent rows are appended to E as a new block.  Nothing is
+    back-substituted, so E is block triangular: each block is the identity
+    on its own pivot columns and zero on those of earlier blocks.  E and the
+    scratch space are allocated once, and every other temporary has at most
+    BLOCK_ROWS rows.
     """
     if not 1 < p <= MAX_PRIME:
         raise ValueError(f"modulus {p} outside (1, MAX_PRIME={MAX_PRIME}]; float64 elimination would not be exact")
@@ -213,9 +210,8 @@ def _echelon(mat, p: int) -> tuple[list[int], list[int]]:
     pivots = np.empty(min(m, n), dtype=np.intp)
     work = np.empty((2, min(m, BLOCK_ROWS), n))
     blocks: list[tuple[int, int]] = []
-    values: list[int] = []
+    r = 0
     for lo in range(0, m, BLOCK_ROWS):
-        r = len(values)
         if r == n:
             break
         B = _float_block(A[lo : lo + BLOCK_ROWS], p)
@@ -224,14 +220,9 @@ def _echelon(mat, p: int) -> tuple[list[int], list[int]]:
         if not found:
             continue
         blocks.append((r, r + len(found)))
-        pivots[r : r + len(found)] = [c for c, _ in found]
-        values.extend(v for _, v in found)
-    return pivots[: len(values)].tolist(), values
-
-
-def rank_mod_p(mat, p: int = DEFAULT_PRIME) -> int:
-    """Rank of an integer matrix over GF(p), for 1 < p <= MAX_PRIME."""
-    return len(_echelon(mat, p)[0])
+        pivots[r : r + len(found)] = found
+        r += len(found)
+    return r
 
 
 def _int_rows(mat) -> list[list[int]]:
@@ -292,52 +283,6 @@ def det_exact(mat) -> int:
         raise ValueError(f"exact determinant limited to {MAX_EXACT_DET_SIZE}x{MAX_EXACT_DET_SIZE}")
     rank, sign, last_pivot = _bareiss(rows)
     return sign * last_pivot if rank == n else 0
-
-
-def det_mod_p(mat, p: int = DEFAULT_PRIME) -> int:
-    """Determinant over GF(p), read off the echelon kernel.
-
-    The kernel changes rows in two ways only: it adds a multiple of one row
-    to another, which keeps the determinant, and it scales row i once, by
-    1/values[i].  With every row independent, row i ends as the row of E
-    with pivot column pivots[i]: 1 there, and 0 on the pivot columns of its
-    own block and of earlier blocks.  With its columns taken in the order
-    pivots[0], pivots[1], ... that matrix is block upper triangular with
-    identity diagonal blocks, so its determinant is sign(i -> pivots[i]).
-    Hence det = prod(values) * sign(i -> pivots[i]).
-    """
-    A = np.asarray(mat)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("determinant of a non-square matrix")
-    pivots, values = _echelon(A, p)
-    if len(pivots) < len(A):
-        return 0
-    det = 1
-    for v in values:
-        det = det * v % p
-    # sign(i -> pivots[i]) = (-1)^(size - number of cycles)
-    flips = len(pivots)
-    seen = [False] * len(pivots)
-    for start in range(len(pivots)):
-        if seen[start]:
-            continue
-        flips -= 1
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = pivots[j]
-    return (p - det) % p if flips & 1 else det
-
-
-def cube_root_mod_p(c: int, p: int = DEFAULT_PRIME) -> int:
-    """The unique cube root of c modulo p, for p = 2 (mod 3).
-
-    Cubing is a bijection on GF(p) in this case, inverted by x -> x**e with
-    e = 3^(-1) mod (p-1).
-    """
-    validate_prime(p, cube_roots=True)
-    e = pow(3, -1, p - 1)
-    return pow(c % p, e, p)
 
 
 def integer_cube_root_signed(c: int) -> int:

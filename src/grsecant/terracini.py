@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import math
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -96,7 +95,6 @@ class SpanVerdict:
     ambient: int
     verdict: Verdict
     trials_used: int
-    elapsed_ms: int = 0
     residual_dimension: int | None = None
 
     def __post_init__(self):
@@ -122,7 +120,6 @@ class SpanVerdict:
             "expected": self.expected_rank,
             "ambient": self.ambient,
             "verdict": self.verdict.value,
-            "elapsed_ms": self.elapsed_ms,
         }
         if self.verdict is Verdict.INCONCLUSIVE_DEFICIT:
             rec["deficit"] = self.deficit
@@ -196,7 +193,6 @@ def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | N
         for sub in problem.point_constraints or ():
             if sub is not None and not any(set(sub.support) <= set(span.support) for span in problem.extra_spans):
                 raise ValueError(f"constraint support {sub.support} lies in no span")
-    t0 = time.perf_counter()
     expected = expected_affine_dim(problem.k, problem.n, problem.s) if target_rank is None else target_rank
     ambient = problem.ambient
     if not 0 <= expected <= ambient:
@@ -228,8 +224,7 @@ def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | N
     else:
         verdict = Verdict.INCONCLUSIVE_DEFICIT
     residual = ambient - best if problem.extra_spans else None
-    elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    return SpanVerdict(problem, best, expected, ambient, verdict, trials_used, elapsed_ms, residual)
+    return SpanVerdict(problem, best, expected, ambient, verdict, trials_used, residual)
 
 
 @dataclass(frozen=True)

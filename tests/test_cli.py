@@ -13,7 +13,7 @@ from grsecant import __version__
 from grsecant import cache as cache_module
 from grsecant.cache import cache_key
 from grsecant.cli import main
-from grsecant.gr26 import fano_tensor
+from grsecant.gr26 import fano_tensor, five_term_tensor
 
 
 @pytest.fixture
@@ -425,6 +425,34 @@ class TestClassify:
         assert record["result"]["rank"] == 6
         assert record["result"]["in_grassmannian"] is True
 
+    PINNED = {
+        ("fano", 32003): '"invariant_exact": -1, "invariant_mod_p": 32002, "prime": 32003, "rank": 21}',
+        ("fano", 46337): '"invariant_exact": -1, "invariant_mod_p": 46336, "prime": 46337, "rank": 21}',
+        ("five", 32003): '"invariant_exact": -8, "invariant_mod_p": 31995, "prime": 32003, "rank": 21}',
+        ("five", 46337): '"invariant_exact": -8, "invariant_mod_p": 46329, "prime": 46337, "rank": 21}',
+    }
+
+    @pytest.mark.parametrize("name, prime", sorted(PINNED))
+    def test_json_lines_are_pinned(self, runner, tmp_path, name, prime):
+        omega = {"fano": fano_tensor(), "five": five_term_tensor(1, 2, 4, 1, 1)}[name]
+        path = tmp_path / f"{name}.tensor"
+        path.write_text(format_tensor(omega, one_based=True))
+        result = invoke(runner, tmp_path, "--json", "--prime", str(prime), "classify", str(path))
+        assert result.exit_code == 0
+        assert result.output == (
+            f'{{"command": "classify", "parameters": {{"file": "{name}.tensor"}}, "prime": {prime}, '
+            '"result": {"in_grassmannian": false, "in_sigma2": false, "in_sigma3": false, '
+            f'{self.PINNED[name, prime]}, "version": "0.1.0"}}\n'
+        )
+
+    def test_max_prime(self, runner, tmp_path):
+        # 4194301 = 1 mod 3 is the largest prime the CLI accepts.
+        path = tmp_path / "fano.tensor"
+        path.write_text(format_tensor(fano_tensor(), one_based=True))
+        result = invoke(runner, tmp_path, "--json", "--prime", "4194301", "classify", str(path))
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["result"]["invariant_mod_p"] == 4194300
+
 
 class TestInvariantCommand:
     def test_identity(self, runner, tmp_path):
@@ -467,6 +495,11 @@ class TestDemo:
         result = invoke(runner, tmp_path, "demo", "figure1")
         assert result.exit_code == 0
         assert "fano" in result.output
+
+    def test_figure1_negative_seed(self, runner, tmp_path):
+        negative = invoke(runner, tmp_path, "--seed", "-1", "demo", "figure1")
+        assert negative.exit_code == 0, negative.output
+        assert negative.output == invoke(runner, tmp_path, "--seed", "0", "demo", "figure1").output
 
     def test_unknown(self, runner, tmp_path):
         assert invoke(runner, tmp_path, "demo", "gr99").exit_code == 2

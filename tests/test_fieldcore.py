@@ -11,9 +11,7 @@ from grsecant.fieldcore import (
     SECOND_PRIME,
     SLICE_ROWS,
     NotACube,
-    cube_root_mod_p,
     det_exact,
-    det_mod_p,
     integer_cube_root_signed,
     is_prime,
     rank_exact,
@@ -193,13 +191,12 @@ class TestEchelonKernel:
     def test_empty_shapes(self):
         assert rank_mod_p(np.zeros((0, 5), dtype=np.int64)) == 0
         assert rank_mod_p(np.zeros((4, 0), dtype=np.int64)) == 0
-        assert det_mod_p(np.zeros((0, 0), dtype=np.int64)) == 1
 
     def test_rejects_unsafe_modulus(self):
         with pytest.raises(ValueError):
             rank_mod_p(np.eye(3, dtype=np.int64), 1099511627791)
         with pytest.raises(ValueError):
-            det_mod_p(np.eye(3, dtype=np.int64), MAX_PRIME + 2)
+            rank_mod_p(np.eye(3, dtype=np.int64), MAX_PRIME + 2)
 
     @pytest.mark.parametrize(
         "k, n, s, achieved, expected",
@@ -252,38 +249,6 @@ class TestDetExact:
         with pytest.raises(ValueError):
             det_exact([[1, 2, 3], [4, 5, 6]])
 
-    def test_det_mod_p_matches_exact(self):
-        rng = np.random.default_rng(22)
-        for _ in range(50):
-            m = rng.integers(-9, 10, size=(5, 5))
-            assert det_mod_p(m, DEFAULT_PRIME) == det_exact(m) % DEFAULT_PRIME
-
-    @pytest.mark.parametrize("p", KERNEL_PRIMES)
-    def test_det_mod_p_across_blocks(self, p):
-        # M = P L U with P a row permutation, L unit lower and U upper
-        # triangular: det M = sign(P) * prod(diag U), sizes past one block.
-        rng = np.random.default_rng(p)
-        for size in (1, 2, 7, SLICE_ROWS + 1, BLOCK_ROWS + 3, 2 * BLOCK_ROWS + 5):
-            L = np.tril(rng.integers(0, p, size=(size, size)), -1) + np.eye(size, dtype=np.int64)
-            U = np.triu(rng.integers(0, p, size=(size, size)))
-            U[np.diag_indices(size)] = rng.integers(1, p, size=size)
-            perm = rng.permutation(size)
-            inversions = sum(1 for a in range(size) for b in range(a + 1, size) if perm[a] > perm[b])
-            want = 1
-            for u in np.diag(U):
-                want = want * int(u) % p
-            want = (-want) % p if inversions & 1 else want
-            assert det_mod_p((L @ U % p)[perm], p) == want
-
-    def test_det_mod_p_permutations_and_singular(self):
-        for perm in ([1, 0, 2], [1, 2, 0], [3, 2, 1, 0], [0, 1, 2, 3]):
-            P = np.eye(len(perm), dtype=np.int64)[perm]
-            assert det_mod_p(P, 7) == det_exact(P) % 7
-        assert det_mod_p([[1, 2, 3], [2, 4, 6], [0, 1, 1]], 7) == 0
-        assert det_mod_p([[1, 2], [3, 4]], 7) == (-2) % 7
-        with pytest.raises(ValueError):
-            det_mod_p([[1, 2, 3], [4, 5, 6]], 7)
-
 
 class TestRankExact:
     def test_known(self):
@@ -299,37 +264,6 @@ class TestRankExact:
         for _ in range(50):
             A = rng.integers(-4, 5, size=(6, 8))
             assert rank_exact(A) == np.linalg.matrix_rank(A.astype(float))
-
-
-class TestCubeRoots:
-    def test_exponent_value(self):
-        # e = 3^(-1) mod (p-1); sanity: 3 * 21335 = 2 * 32002 + 1.
-        e = pow(3, -1, DEFAULT_PRIME - 1)
-        assert e == 21335
-        assert 3 * e % (DEFAULT_PRIME - 1) == 1
-
-    def test_trivial_roots(self):
-        assert cube_root_mod_p(0) == 0
-        assert cube_root_mod_p(1) == 1
-        assert cube_root_mod_p(8) == 2
-
-    def test_roundtrip_thousand(self):
-        rng = np.random.default_rng(31)
-        for x in rng.integers(0, DEFAULT_PRIME, size=1000):
-            x = int(x)
-            assert cube_root_mod_p(pow(x, 3, DEFAULT_PRIME)) == x
-
-    def test_roundtrip_second_prime(self):
-        rng = np.random.default_rng(32)
-        for x in rng.integers(0, SECOND_PRIME, size=100):
-            x = int(x)
-            assert cube_root_mod_p(pow(x, 3, SECOND_PRIME), SECOND_PRIME) == x
-
-    def test_rejects_one_mod_three_prime(self):
-        with pytest.raises(ValueError):
-            cube_root_mod_p(5, 7)  # 7 = 1 mod 3
-        with pytest.raises(ValueError):
-            cube_root_mod_p(5, 65521)
 
 
 class TestIntegerCubeRoot:
@@ -352,8 +286,8 @@ class TestIntegerCubeRoot:
 
 class TestPrimes:
     def test_defaults_are_valid(self):
-        validate_prime(DEFAULT_PRIME, cube_roots=True)
-        validate_prime(SECOND_PRIME, cube_roots=True)
+        validate_prime(DEFAULT_PRIME)
+        validate_prime(SECOND_PRIME)
 
     def test_is_prime_small(self):
         assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]

@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 from oracle import apply_linear_map, random_tensor, random_unimodular
 
 from grsecant.extalg import Multivector, pairing_matrix, wedge_vectors
-from grsecant.fieldcore import DEFAULT_PRIME, cube_root_mod_p
+from grsecant.fieldcore import DEFAULT_PRIME, MAX_PRIME, SECOND_PRIME
 from grsecant.gr26 import (
     _span_check,
     classify,
@@ -17,6 +18,11 @@ from grsecant.gr26 import (
     random_secant_point,
 )
 from grsecant.grassmann import GrassPoint, coordinate_point
+
+
+# Primes the CLI accepts, of every residue mod 3: 3 = 0, 7 and MAX_PRIME = 1,
+# 32003 and 46337 = 2.
+PRIMES = (3, 7, DEFAULT_PRIME, SECOND_PRIME, MAX_PRIME)
 
 
 def blade1(indices, coeff=1):
@@ -68,6 +74,16 @@ class TestClassify:
             rep = classify(random_tensor(rng))
             assert rep.invariant_mod_p == rep.invariant_exact % DEFAULT_PRIME
 
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_invariant_mod_p_at_every_prime(self, p):
+        rng = np.random.default_rng(p)
+        tensors = [fano_tensor(), five_term_tensor(1, 2, 4, 1, 1)] + [random_tensor(rng) for _ in range(3)]
+        for omega in tensors:
+            rep = classify(omega, p)
+            assert rep.prime == p
+            assert rep.invariant_mod_p == rep.invariant_exact % p
+        assert classify(five_term_tensor(1, 2, 4, 1, 1), p).invariant_exact == -8
+
 
 class TestInvariant:
     def test_five_term_all_ones(self):
@@ -108,8 +124,9 @@ class TestInvariant:
 
     def test_cube_consistency_mod_p(self):
         inv = degree7_invariant(fano_tensor())
-        half_det = pairing_matrix(fano_tensor()).det() // 2
-        assert cube_root_mod_p(half_det % DEFAULT_PRIME) == inv % DEFAULT_PRIME
+        assert pairing_matrix(fano_tensor()).det() // 2 == inv**3
+        for p in PRIMES:
+            assert classify(fano_tensor(), p).invariant_mod_p == inv % p
 
 
 class TestPairingRankProperties:

@@ -105,12 +105,12 @@ class TestTangentFrame:
         assert rank_mod_p(rows, P) == len(expected) == 13
 
 
-def _basis_points(k, n):
-    """Random, support-constrained and coordinate points of Gr(k, n)."""
+def _basis_points(k, n, p=P):
+    """Random, support-constrained and coordinate points of Gr(k, n), each of full rank mod p."""
     rng = np.random.default_rng([k, n])
     support = CoordinateSubspace(n, tuple(range(1, k + 3)))
-    yield random_point(k, n, rng, p=P)
-    yield random_point(k, n, rng, support, P)
+    yield random_point(k, n, rng, p=p)
+    yield random_point(k, n, rng, support, p)
     yield coordinate_point(k, n, range(k + 1))
     yield coordinate_point(k, n, range(n - k, n + 1))
     yield coordinate_point(k, n, range(1, 2 * k + 2, 2))
@@ -144,7 +144,7 @@ class TestTangentBasisRows:
         # the subset of its first nonzero coordinate, written into a zeroed
         # buffer and nowhere else.
         d, dim = k + 1, n + 1
-        for pt in _basis_points(k, n):
+        for pt in _basis_points(k, n, p):
             frame = full_frame(pt.rows, p)
             plucker_row = maximal_minors_reference(pt.rows, p)
             J = subset_unrank(int(np.flatnonzero(plucker_row)[0]), n, d)
