@@ -9,7 +9,9 @@ keys.  Appends from several processes take turns under an exclusive lock.
 Loading the file indexes each line in that form by its key without decoding
 it; a record is decoded only when it is replayed.  On duplicate keys the
 first line that decodes to a {"key", "record"} entry and passes the replay
-check wins; the check asks a probe record's ranks to agree with its verdict.
+check wins.  The caller passes that check to `get` (the CLI passes
+`terracini.replays` for a probe record); the cache itself knows no
+command, and without a check any decoded entry replays.
 
 Two kinds of line are skipped with a warning that names which: at load,
 every line not in `put`'s form, such as one cut short by a killed run or
@@ -26,6 +28,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 # A line as `put` writes it: _HEAD, the key's 64 hex digits, _MIDDLE, the
 # rest of the record, b"}}".  Only the record's replay decodes and checks it.
@@ -46,33 +49,9 @@ def cache_key(payload: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _bookkeeping_holds(result) -> bool:
-    """Whether a probe result's ranks agree with its verdict."""
-    if not isinstance(result, dict):
-        return False
-    achieved, expected, ambient = (result.get(name) for name in ("achieved", "expected", "ambient"))
-    if not all(type(rank) is int for rank in (achieved, expected, ambient)):
-        return False
-    verdict = result.get("verdict")
-    if verdict == "CertifiedFills":
-        return achieved == expected == ambient
-    if verdict == "CertifiedExpected":
-        return achieved == expected < ambient
-    if verdict == "InconclusiveDeficit":
-        deficit = result.get("deficit")
-        return achieved < expected and type(deficit) is int and deficit == expected - achieved
-    return False
-
-
 def _is_entry(entry) -> bool:
-    """Whether a decoded line is a {"key": str, "record": dict} object fit to replay.
-
-    A probe record must also carry rank bookkeeping that agrees with its verdict.
-    """
-    if not (isinstance(entry, dict) and isinstance(entry.get("key"), str) and isinstance(entry.get("record"), dict)):
-        return False
-    record = entry["record"]
-    return record.get("command") != "probe" or _bookkeeping_holds(record.get("result"))
+    """Whether a decoded line is a {"key": str, "record": dict} object."""
+    return isinstance(entry, dict) and isinstance(entry.get("key"), str) and isinstance(entry.get("record"), dict)
 
 
 class ResultCache:
@@ -112,7 +91,9 @@ class ResultCache:
             self._warn(skipped, "not in the cache's line form")
         return self._lines
 
-    def get(self, key: str) -> dict | None:
+    def get(self, key: str, replays: Callable[[dict], bool] | None = None) -> dict | None:
+        """The record replayed for `key`: the first of its lines that decodes
+        and, if `replays` is given, passes that check."""
         if key not in self._records:
             skipped = 0
             pending = self._load().pop(key.encode("ascii"), None)
@@ -121,7 +102,7 @@ class ResultCache:
                     entry = json.loads(line)
                 except ValueError:
                     entry = None
-                if _is_entry(entry) and entry["key"] == key:
+                if _is_entry(entry) and entry["key"] == key and (replays is None or replays(entry["record"])):
                     self._records[key] = entry["record"]
                     break
                 skipped += 1

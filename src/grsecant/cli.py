@@ -29,6 +29,7 @@ from .terracini import (
     Verdict,
     monotone_extend,
     probe,
+    replays,
 )
 
 CONJECTURE_ROWS = (
@@ -69,8 +70,8 @@ def _emit(config: RunConfig, record: dict, *lines: str):
     click.echo(json.dumps(record, sort_keys=True) if config.as_json else "\n".join(lines))
 
 
-def _run_cached(config: RunConfig, command: str, parameters: dict, prime: int, compute):
-    """Replay a cached record, or compute and return it.
+def _run_cached(config: RunConfig, command: str, parameters: dict, prime: int, compute, check=None):
+    """Replay a cached record that passes `check`, or compute and return it.
 
     A computed record is appended only when the cache has no sound line for
     its key: with --no-cache the first sound line would still win every
@@ -80,7 +81,7 @@ def _run_cached(config: RunConfig, command: str, parameters: dict, prime: int, c
     # The kernel tag is hashed but not stored: a record computed by another
     # elimination kernel is never replayed.
     key = cache_key(dict(payload, kernel=KERNEL))
-    hit = config.cache.get(key)
+    hit = config.cache.get(key, check)
     if hit is not None and config.read_cache:
         return hit
     t0 = time.perf_counter()
@@ -92,12 +93,16 @@ def _run_cached(config: RunConfig, command: str, parameters: dict, prime: int, c
 
 
 def _probe_record(config: RunConfig, k: int, n: int, s: int, prime: int, strategy: str) -> dict:
-    def compute():
-        problem = SecantProblem(k=k, n=n, s=s, prime=prime, seed=config.seed, trials=config.trials)
-        return probe(problem, strategy=strategy).to_record()
-
+    problem = SecantProblem(k=k, n=n, s=s, prime=prime, seed=config.seed, trials=config.trials)
     parameters = {"k": k, "n": n, "s": s, "strategy": strategy, "trials": config.trials}
-    return _run_cached(config, "probe", parameters, prime, compute)
+    return _run_cached(
+        config,
+        "probe",
+        parameters,
+        prime,
+        lambda: probe(problem, strategy=strategy).to_record(),
+        lambda record: replays(problem, record.get("result")),
+    )
 
 
 @click.group()
@@ -120,13 +125,20 @@ def main(ctx, prime, second_prime, seed, trials, as_json, no_cache, cache_dir):
         raise click.UsageError(str(exc))
     if trials < 1:
         raise click.UsageError("--trials must be at least 1")
+    cache = ResultCache(cache_dir)
+    # The nearest existing ancestor of the directory is the one mkdir meets.
+    existing = next(d for d in (cache.directory, *cache.directory.parents) if d.exists())
+    if not existing.is_dir():
+        raise click.UsageError(f"cache directory: {existing} is not a directory")
+    if cache.path.is_dir():
+        raise click.UsageError(f"cache file {cache.path} is a directory")
     primes = [prime] + ([second_prime] if second_prime is not None else [])
     ctx.obj = RunConfig(
         primes=primes,
         seed=seed,
         trials=trials,
         as_json=as_json,
-        cache=ResultCache(cache_dir),
+        cache=cache,
         read_cache=not no_cache,
     )
 

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .fieldcore import det_exact, rank_exact, rank_mod_p
+from .fieldcore import det_exact
 
 
 def subset_rank(indices: Sequence[int]) -> int:
@@ -223,36 +223,13 @@ PAIRING_DIM = 7
 PAIRING_SIZE = math.comb(PAIRING_DIM, 2)  # 21
 
 
-@dataclass
-class ContractionMatrix:
-    """Symmetric pairing matrix of a degree-3 element in dimension 7.
+def pairing_matrix(omega: Multivector) -> list[list[int]]:
+    """Symmetric contraction pairing of a degree-3 multivector in dimension 7.
 
     Entry [row eta', column eta] is the top-form coefficient of
     eta ^ eta' ^ omega, rows and columns running over colex-ranked 2-subsets.
-    Entries are exact integers; mod-p views are derived.
+    Entries are exact integers.
     """
-
-    matrix: list[list[int]]
-    source: Multivector
-
-    def mod_view(self, p: int) -> np.ndarray:
-        return np.array([[c % p for c in row] for row in self.matrix], dtype=np.int64)
-
-    def rank(self, p: int | None = None) -> int:
-        if p is None:
-            return rank_exact(self.matrix)
-        return rank_mod_p(self.mod_view(p), p)
-
-    def det(self) -> int:
-        return det_exact(self.matrix)
-
-    def is_symmetric(self) -> bool:
-        M = self.matrix
-        return all(M[i][j] == M[j][i] for i in range(PAIRING_SIZE) for j in range(i))
-
-
-def pairing_matrix(omega: Multivector) -> ContractionMatrix:
-    """Contraction pairing of a degree-3 multivector in dimension 7."""
     if omega.dim != PAIRING_DIM or omega.degree != 3:
         raise ValueError("pairing matrix requires dim 7, degree 3")
     rank2 = {s: subset_rank(s) for s in combinations(range(PAIRING_DIM), 2)}
@@ -264,7 +241,7 @@ def pairing_matrix(omega: Multivector) -> ContractionMatrix:
             s1, ab = merge_sign(a, b)
             s2, _ = merge_sign(ab, term)
             M[rank2[b]][rank2[a]] += s1 * s2 * c
-    return ContractionMatrix(M, omega)
+    return M
 
 
 # ---------------------------------------------------------------------------

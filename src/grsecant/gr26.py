@@ -12,12 +12,12 @@ expanded (the expansion has 10,680 terms).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .extalg import Multivector, pairing_matrix, wedge_vectors
-from .fieldcore import DEFAULT_PRIME, integer_cube_root_signed, rank_mod_p
+from .extalg import PAIRING_SIZE, Multivector, pairing_matrix, wedge_vectors
+from .fieldcore import DEFAULT_PRIME, det_exact, integer_cube_root_signed, rank_exact, rank_mod_p
 from .grassmann import GrassPoint, pluecker, tangent_space_dim
 from .terracini import tangent_stack
 
@@ -55,7 +55,7 @@ def five_term_identity(a135: int, a147: int, a126: int, a234: int, a567: int) ->
     The two must agree: det = -2 (a234^2 a567^2 a135 a147 a126)^3.
     """
     omega = five_term_tensor(a135, a147, a126, a234, a567)
-    det = pairing_matrix(omega).det()
+    det = det_exact(pairing_matrix(omega))
     predicted = -2 * (a234**2 * a567**2 * a135 * a147 * a126) ** 3
     return det, predicted
 
@@ -66,7 +66,7 @@ def degree7_invariant(omega: Multivector) -> int:
     The pairing determinant of an integral tensor is always twice a perfect
     cube; an odd determinant or a failed root extraction indicates a bug.
     """
-    det = pairing_matrix(omega).det()
+    det = det_exact(pairing_matrix(omega))
     if det % 2 != 0:
         raise ValueError(f"pairing determinant {det} is odd; this cannot happen")
     return integer_cube_root_signed(det // 2)
@@ -83,25 +83,19 @@ class MembershipReport:
     prime: int
 
     def to_record(self) -> dict:
-        return {
-            "rank": self.rank,
-            "in_grassmannian": self.in_grassmannian,
-            "in_sigma2": self.in_sigma2,
-            "in_sigma3": self.in_sigma3,
-            "invariant_exact": self.invariant_exact,
-            "invariant_mod_p": self.invariant_mod_p,
-            "prime": self.prime,
-        }
+        return asdict(self)
 
 
 def classify(omega: Multivector, p: int = DEFAULT_PRIME) -> MembershipReport:
     """Exact pairing rank, the three membership flags, and the invariant.
 
     The invariant is computed once, exactly; `invariant_mod_p` is its
-    residue mod p, so any prime is accepted.
+    residue mod p, so any prime is accepted.  The determinant is 2 inv^3,
+    so the pairing has full rank exactly when inv is nonzero, and only a
+    singular pairing is eliminated a second time for its rank.
     """
-    rank = pairing_matrix(omega).rank()  # exact over the rationals
     inv = degree7_invariant(omega)
+    rank = PAIRING_SIZE if inv else rank_exact(pairing_matrix(omega))
     return MembershipReport(
         rank=rank,
         in_grassmannian=rank <= RANK_GRASSMANNIAN,
@@ -170,13 +164,13 @@ def figure1_table(seed: int = 0) -> list[Figure1Row]:
         ("generic-three-secant", _generic_sigma3(rng), 18),
         ("fano", fano_tensor(), 21),
     ]
-    return [Figure1Row(label, w, want, pairing_matrix(w).rank()) for label, w, want in rows]
+    return [Figure1Row(label, w, want, rank_exact(pairing_matrix(w))) for label, w, want in rows]
 
 
 def _generic_sigma3(rng: np.random.Generator) -> Multivector:
     for _ in range(16):
         w = random_secant_point(rng, 3)
-        if pairing_matrix(w).rank() == RANK_SIGMA3:
+        if rank_exact(pairing_matrix(w)) == RANK_SIGMA3:
             return w
     raise RuntimeError("could not sample a generic three-term tensor")
 
@@ -205,18 +199,6 @@ class DemoReport:
         }
 
 
-def _proportional(u, v) -> bool:
-    u = [int(x) for x in u]
-    v = [int(x) for x in v]
-    if len(u) != len(v):
-        return False
-    return all(u[i] * v[j] == u[j] * v[i] for i in range(len(u)) for j in range(len(v)))
-
-
-def _stacked_frame_rank(points: list[GrassPoint], p: int) -> int:
-    return rank_mod_p(tangent_stack(points, p), p)
-
-
 def _span_check(points: list[GrassPoint], images: list[Multivector], p: int) -> tuple[int, int]:
     """The dimension the images span mod p, and the rank of the tangent stack at `points` with them.
 
@@ -227,40 +209,48 @@ def _span_check(points: list[GrassPoint], images: list[Multivector], p: int) -> 
     return rank_mod_p(rows, p), rank_mod_p(tangent_stack(points, p, [rows]), p)
 
 
+def _tangent_span_demo(name: str, want: int, variety: str, anchors, samples, sample_noun: str, p: int) -> DemoReport:
+    """Tangent-span rank at the anchors' special points, and the variety through them.
+
+    Parameters (c_0, ..., c_m) map to the row space of [c_0 I | ... | c_m I]
+    with I of size k+1: a rational normal curve for m = 1, a Veronese
+    surface for m = 2.  It must pass through each anchor's point, and the
+    images of the samples must span len(samples) dimensions inside the
+    tangent spans.  The demo passes when that holds and the rank is `want`.
+    """
+    points = [pt for _, pt in anchors]
+    k, n = points[0].k, points[0].n
+
+    def image(params) -> Multivector:
+        return wedge_vectors(np.hstack([c * np.eye(k + 1, dtype=np.int64) for c in params]).tolist(), n + 1)
+
+    achieved = rank_mod_p(tangent_stack(points, p), p)
+    checks = []
+    for params, pt in anchors:
+        ok = rank_exact([image(params).dense(), pluecker(pt).dense()]) <= 1  # proportional
+        checks.append(f"{variety}({','.join(map(str, params))}) matches anchor point: {ok}")
+    span, rank = _span_check(points, [image(params) for params in samples], p)
+    in_span = span == len(samples) and rank == achieved
+    checks.append(f"{len(samples)} {sample_noun} span {span} dimensions, tangent-stack rank with them {rank}: {in_span}")
+    passed = achieved == want and all(c.endswith("True") for c in checks)
+    expected = len(points) * tangent_space_dim(k, n)
+    return DemoReport(name, achieved, expected, math.comb(n + 1, k + 1), checks, passed)
+
+
 def demo_gr37(p: int = DEFAULT_PRIME) -> DemoReport:
     """Three special points of Gr(3,7) whose tangent spans reach only 50 of 51.
 
     A degree-4 rational normal curve through the three points forces each
     tangent space to share a line with the curve's span.
     """
-    k, n = 3, 7
     e = np.eye(8, dtype=np.int64)
-
-    def point(rows) -> GrassPoint:
-        return GrassPoint(k, n, np.array(rows, dtype=np.int64))
-
-    p1 = point([e[0], e[1], e[2], e[3]])
-    p2 = point([e[4], e[5], e[6], e[7]])
-    p3 = point([e[0] + e[4], e[1] + e[5], e[2] + e[6], e[3] + e[7]])
-    achieved = _stacked_frame_rank([p1, p2, p3], p)
-    expected = 3 * tangent_space_dim(k, n)
-
-    def curve_matrix(s: int, t: int) -> np.ndarray:
-        return np.hstack([s * np.eye(4, dtype=np.int64), t * np.eye(4, dtype=np.int64)])
-
-    checks = []
-    anchors = [(1, 0, p1), (0, 1, p2), (1, 1, p3)]
-    for s, t, pt in anchors:
-        img = wedge_vectors(curve_matrix(s, t).tolist(), 8)
-        ok = _proportional(img.dense(), pluecker(pt).dense())
-        checks.append(f"curve({s},{t}) matches anchor point: {ok}")
-    curve = [wedge_vectors(curve_matrix(1, t).tolist(), 8) for t in (2, 3, 5, 7, 11)]
-    span, rank = _span_check([p1, p2, p3], curve, p)
-    in_span = span == 5 and rank == achieved
-    checks.append(f"5 curve points span {span} dimensions, tangent-stack rank with them {rank}: {in_span}")
-
-    passed = achieved == 50 and all(c.endswith("True") for c in checks)
-    return DemoReport("gr37", achieved, expected, math.comb(8, 4), checks, passed)
+    anchors = [
+        ((1, 0), GrassPoint(3, 7, e[0:4])),
+        ((0, 1), GrassPoint(3, 7, e[4:8])),
+        ((1, 1), GrassPoint(3, 7, e[0:4] + e[4:8])),
+    ]
+    samples = [(1, t) for t in (2, 3, 5, 7, 11)]
+    return _tangent_span_demo("gr37", 50, "curve", anchors, samples, "curve points", p)
 
 
 def demo_gr28(p: int = DEFAULT_PRIME) -> DemoReport:
@@ -268,34 +258,13 @@ def demo_gr28(p: int = DEFAULT_PRIME) -> DemoReport:
 
     A Veronese surface through the four points accounts for the gap.
     """
-    k, n = 2, 8
     e = np.eye(9, dtype=np.int64)
-
-    def point(rows) -> GrassPoint:
-        return GrassPoint(k, n, np.array(rows, dtype=np.int64))
-
-    p1 = point([e[0], e[1], e[2]])
-    p2 = point([e[3], e[4], e[5]])
-    p3 = point([e[6], e[7], e[8]])
-    p4 = point([e[0] + e[3] + e[6], e[1] + e[4] + e[7], e[2] + e[5] + e[8]])
-    achieved = _stacked_frame_rank([p1, p2, p3, p4], p)
-    expected = 4 * tangent_space_dim(k, n)
-
-    def veronese_matrix(s: int, t: int, u: int) -> np.ndarray:
-        eye = np.eye(3, dtype=np.int64)
-        return np.hstack([s * eye, t * eye, u * eye])
-
-    checks = []
-    anchors = [((1, 0, 0), p1), ((0, 1, 0), p2), ((0, 0, 1), p3), ((1, 1, 1), p4)]
-    for (s, t, u), pt in anchors:
-        img = wedge_vectors(veronese_matrix(s, t, u).tolist(), 9)
-        ok = _proportional(img.dense(), pluecker(pt).dense())
-        checks.append(f"veronese({s},{t},{u}) matches anchor point: {ok}")
+    anchors = [
+        ((1, 0, 0), GrassPoint(2, 8, e[0:3])),
+        ((0, 1, 0), GrassPoint(2, 8, e[3:6])),
+        ((0, 0, 1), GrassPoint(2, 8, e[6:9])),
+        ((1, 1, 1), GrassPoint(2, 8, e[0:3] + e[3:6] + e[6:9])),
+    ]
     rng = np.random.default_rng(7)
-    surface = [wedge_vectors(veronese_matrix(*rng.integers(1, 50, size=3)).tolist(), 9) for _ in range(10)]
-    span, rank = _span_check([p1, p2, p3, p4], surface, p)
-    in_span = span == 10 and rank == achieved
-    checks.append(f"10 surface points span {span} dimensions, tangent-stack rank with them {rank}: {in_span}")
-
-    passed = achieved == 74 and all(c.endswith("True") for c in checks)
-    return DemoReport("gr28", achieved, expected, math.comb(9, 3), checks, passed)
+    samples = [rng.integers(1, 50, size=3) for _ in range(10)]
+    return _tangent_span_demo("gr28", 74, "veronese", anchors, samples, "surface points", p)

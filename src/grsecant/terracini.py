@@ -8,11 +8,16 @@ GF(p) rank of the stack with the expected affine dimension.  Hitting the
 expectation is a valid characteristic-0 certificate by semicontinuity;
 falling short is only circumstantial evidence of a defect, so such
 verdicts are inconclusive and retried with fresh seeds.
+
+The verdict is derived from the ranks in one place, `SpanVerdict`.  A
+cached probe record is replayed only if `replays` rebuilds the same record
+from the problem asked and the record's achieved rank and trial count.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -89,24 +94,42 @@ class SecantProblem:
 
 @dataclass(frozen=True)
 class SpanVerdict:
+    """The best stack rank a probe reached; the verdict follows from the ranks.
+
+    Reaching the expected rank certifies it, as CertifiedFills when that
+    rank is the ambient dimension; falling short is InconclusiveDeficit.
+    """
+
     problem: SecantProblem
     achieved_rank: int
     expected_rank: int
-    ambient: int
-    verdict: Verdict
     trials_used: int
-    residual_dimension: int | None = None
 
     def __post_init__(self):
-        if not self.achieved_rank <= self.expected_rank <= self.ambient:
+        if not 0 <= self.achieved_rank <= self.expected_rank <= self.ambient:
             raise ValueError(
-                f"rank bookkeeping broken: {self.achieved_rank} <= "
+                f"rank bookkeeping broken: 0 <= {self.achieved_rank} <= "
                 f"{self.expected_rank} <= {self.ambient} fails"
             )
 
     @property
+    def ambient(self) -> int:
+        return self.problem.ambient
+
+    @property
+    def verdict(self) -> Verdict:
+        if self.achieved_rank < self.expected_rank:
+            return Verdict.INCONCLUSIVE_DEFICIT
+        return Verdict.CERTIFIED_FILLS if self.expected_rank == self.ambient else Verdict.CERTIFIED_EXPECTED
+
+    @property
     def deficit(self) -> int:
         return self.expected_rank - self.achieved_rank
+
+    @property
+    def residual_dimension(self) -> int | None:
+        """ambient - achieved for a problem with extra spans, else None."""
+        return self.ambient - self.achieved_rank if self.problem.extra_spans else None
 
     def to_record(self) -> dict:
         rec = {
@@ -219,12 +242,29 @@ def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | N
         if best >= expected:
             break
 
-    if best == expected:
-        verdict = Verdict.CERTIFIED_FILLS if expected == ambient else Verdict.CERTIFIED_EXPECTED
-    else:
-        verdict = Verdict.INCONCLUSIVE_DEFICIT
-    residual = ambient - best if problem.extra_spans else None
-    return SpanVerdict(problem, best, expected, ambient, verdict, trials_used, residual)
+    return SpanVerdict(problem, best, expected, trials_used)
+
+
+def replays(problem: SecantProblem, result) -> bool:
+    """Whether a cached probe result is the record `probe` writes for `problem`.
+
+    Only the achieved rank and the trial count are read from the result:
+    both must be exact ints, with the trials in [1, problem.trials].  The
+    record is rebuilt from them and the problem, and must dump to the same
+    JSON as the result, so a record edited by hand or stored under another
+    problem's key is not replayed.
+    """
+    if not isinstance(result, dict):
+        return False
+    achieved, trials = result.get("achieved"), result.get("trials")
+    if type(achieved) is not int or type(trials) is not int or not 1 <= trials <= problem.trials:
+        return False
+    expected = expected_affine_dim(problem.k, problem.n, problem.s)
+    try:
+        rebuilt = SpanVerdict(problem, achieved, expected, trials).to_record()
+    except ValueError:
+        return False
+    return json.dumps(rebuilt, sort_keys=True) == json.dumps(result, sort_keys=True)
 
 
 @dataclass(frozen=True)

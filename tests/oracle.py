@@ -11,8 +11,8 @@ from exact wedges and checks its rank.
 The rest are helpers no package code calls: `monomial_tangent_basis` (the
 index sets of the tangent space at a coordinate point), `subset_unrank`,
 `apply_linear_map`, `random_unimodular` and `format_tensor` on the exterior
-algebra, `random_tensor` for Gr(2,6), and `s1_intro`, the paper's
-two-floor closed form of `induction.s1`.
+algebra, `is_symmetric` on the pairing matrix, `random_tensor` for Gr(2,6),
+and `s1_intro`, the paper's two-floor closed form of `induction.s1`.
 """
 
 import math
@@ -216,6 +216,11 @@ def format_tensor(mv: Multivector, one_based: bool = False) -> str:
     for idx in sorted(mv.terms, key=subset_rank):
         lines.append(f"{' '.join(str(i + shift) for i in idx)} : {mv.terms[idx]}")
     return "\n".join(lines) + "\n"
+
+
+def is_symmetric(matrix) -> bool:
+    """Whether a square matrix, given as a list of rows, equals its transpose."""
+    return all(matrix[i][j] == matrix[j][i] for i in range(len(matrix)) for j in range(i))
 
 
 def random_tensor(rng: np.random.Generator, bound: int = 5) -> Multivector:

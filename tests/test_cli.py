@@ -290,10 +290,20 @@ class TestCacheIndex:
             (("-k", "2", "-n", "6", "-s", "3"), {"achieved": 35, "deficit": 0}),
             (("-k", "2", "-n", "6", "-s", "3"), {"achieved": "34"}),
             (("-k", "2", "-n", "6", "-s", "3"), {"verdict": "Certified"}),
+            # Ranks that agree with their verdict but not with the problem asked.
+            (("-k", "2", "-n", "6", "-s", "3"), {"expected": 34, "verdict": "CertifiedExpected"}),
+            (("-k", "2", "-n", "6", "-s", "3"), {"achieved": -1, "expected": -1, "ambient": -1, "verdict": "CertifiedFills"}),
+            (
+                ("-k", "2", "-n", "6", "-s", "3"),
+                {"n": 9, "s": 5, "trials": 1, "achieved": 110, "expected": 110, "ambient": 120, "verdict": "CertifiedExpected"},
+            ),
+            (("-k", "2", "-n", "6", "-s", "3"), {"trials": 7}),  # above --trials 3
+            (("-k", "2", "-n", "9", "-s", "5"), {"achieved": 110.0}),
         ],
         ids=[
             "fills-short", "fills-ambient", "expected-at-ambient", "expected-short",
             "deficit-wrong", "deficit-none", "rank-string", "unknown-verdict",
+            "defect-certified", "negative-ranks", "other-problem", "trials-above-budget", "rank-float",
         ],
     )
     def test_failed_bookkeeping_is_skipped(self, runner, tmp_path, check, fields):
@@ -342,6 +352,25 @@ class TestCacheIndex:
         assert max(map(len, lines)) > 8192
         cache = cache_module.ResultCache(tmp_path)
         assert all(cache.get(e["key"]) == e["record"] for e in entries)
+
+
+class TestCacheLocation:
+    @pytest.mark.parametrize("where", ["cache-dir-is-file", "env-dir-is-file", "results-is-dir"])
+    def test_bad_location_is_usage_error(self, runner, tmp_path, where):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        args, env = ["--cache-dir", str(tmp_path / "cache")], {}
+        if where == "cache-dir-is-file":
+            args = ["--cache-dir", str(blocker)]
+        elif where == "env-dir-is-file":
+            args, env = [], {"GRSECANT_CACHE_DIR": str(blocker)}
+        else:
+            (tmp_path / "cache" / "results.jsonl").mkdir(parents=True)
+        result = runner.invoke(main, [*args, "check", "-k", "2", "-n", "6", "-s", "3"], env=env)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "cache" in result.stderr
 
 
 class TestConjectureTable:
@@ -480,7 +509,52 @@ class TestCodesCommand:
         assert invoke(runner, tmp_path, "codes", "-n", "8", "-w", "3", "-d", "5").exit_code == 2
 
 
+DEMO_TEXT = {
+    "gr37": (
+        "gr37: affine tangent-span rank 50 (expected dimension 51, ambient 70)\n"
+        "  curve(1,0) matches anchor point: True\n"
+        "  curve(0,1) matches anchor point: True\n"
+        "  curve(1,1) matches anchor point: True\n"
+        "  5 curve points span 5 dimensions, tangent-stack rank with them 50: True\n"
+        "pass\n"
+    ),
+    "gr28": (
+        "gr28: affine tangent-span rank 74 (expected dimension 76, ambient 84)\n"
+        "  veronese(1,0,0) matches anchor point: True\n"
+        "  veronese(0,1,0) matches anchor point: True\n"
+        "  veronese(0,0,1) matches anchor point: True\n"
+        "  veronese(1,1,1) matches anchor point: True\n"
+        "  10 surface points span 10 dimensions, tangent-stack rank with them 74: True\n"
+        "pass\n"
+    ),
+}
+DEMO_JSON = {
+    "gr37": (
+        '{"command": "demo", "parameters": {"which": "gr37"}, "prime": 32003, "result": {"achieved": 50, '
+        '"ambient": 70, "curve_checks": ["curve(1,0) matches anchor point: True", '
+        '"curve(0,1) matches anchor point: True", "curve(1,1) matches anchor point: True", '
+        '"5 curve points span 5 dimensions, tangent-stack rank with them 50: True"], "expected": 51, '
+        '"name": "gr37", "passed": true}, "version": "0.1.0"}\n'
+    ),
+    "gr28": (
+        '{"command": "demo", "parameters": {"which": "gr28"}, "prime": 32003, "result": {"achieved": 74, '
+        '"ambient": 84, "curve_checks": ["veronese(1,0,0) matches anchor point: True", '
+        '"veronese(0,1,0) matches anchor point: True", "veronese(0,0,1) matches anchor point: True", '
+        '"veronese(1,1,1) matches anchor point: True", '
+        '"10 surface points span 10 dimensions, tangent-stack rank with them 74: True"], "expected": 76, '
+        '"name": "gr28", "passed": true}, "version": "0.1.0"}\n'
+    ),
+}
+
+
 class TestDemo:
+    @pytest.mark.parametrize("which", ["gr37", "gr28"])
+    def test_output_is_pinned(self, runner, tmp_path, which):
+        text = invoke(runner, tmp_path, "demo", which)
+        assert text.exit_code == 0 and text.stdout == DEMO_TEXT[which]
+        record = invoke(runner, tmp_path, "--json", "demo", which)
+        assert record.exit_code == 0 and record.stdout == DEMO_JSON[which]
+
     def test_gr37(self, runner, tmp_path):
         result = invoke(runner, tmp_path, "demo", "gr37")
         assert result.exit_code == 0

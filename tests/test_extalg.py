@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import apply_linear_map, format_tensor, random_unimodular, subset_unrank
+from oracle import apply_linear_map, format_tensor, is_symmetric, random_unimodular, subset_unrank
 
 from grsecant.extalg import (
     Multivector,
@@ -17,7 +17,7 @@ from grsecant.extalg import (
     wedge,
     wedge_vectors,
 )
-from grsecant.fieldcore import DEFAULT_PRIME
+from grsecant.fieldcore import DEFAULT_PRIME, rank_exact, rank_mod_p
 
 
 def leibniz_det(m):
@@ -221,7 +221,7 @@ class TestPairingMatrix:
 
     def test_zero(self):
         cm = pairing_matrix(Multivector.zero(7, 3))
-        assert all(all(c == 0 for c in row) for row in cm.matrix)
+        assert all(all(c == 0 for c in row) for row in cm)
 
     def test_single_blade_structure(self):
         # For omega on {0,1,2}, an entry is nonzero iff both 2-sets avoid {0,1,2}.
@@ -229,12 +229,12 @@ class TestPairingMatrix:
         pairs = list(subsets_colex(7, 2))
         for a in pairs:
             for b in pairs:
-                entry = cm.matrix[subset_rank(b)][subset_rank(a)]
+                entry = cm[subset_rank(b)][subset_rank(a)]
                 avoid = not (set(a) | set(b)) & {0, 1, 2}
                 if entry:
                     assert avoid and not set(a) & set(b)
-        assert cm.rank() == 6
-        assert cm.rank(DEFAULT_PRIME) == 6
+        assert rank_exact(cm) == 6
+        assert rank_mod_p(cm, DEFAULT_PRIME) == 6
 
     def test_symmetry_random(self):
         rng = np.random.default_rng(10)
@@ -243,7 +243,7 @@ class TestPairingMatrix:
                 tuple(sorted(rng.choice(7, size=3, replace=False).tolist())): int(c)
                 for c in rng.integers(-9, 10, size=8)
             }
-            assert pairing_matrix(Multivector(7, 3, terms)).is_symmetric()
+            assert is_symmetric(pairing_matrix(Multivector(7, 3, terms)))
 
     def test_linearity(self):
         rng = np.random.default_rng(11)
@@ -260,18 +260,18 @@ class TestPairingMatrix:
 
         for _ in range(10):
             w1, w2 = rand_omega(), rand_omega()
-            lhs = pairing_matrix(w1 + w2).matrix
-            m1, m2 = pairing_matrix(w1).matrix, pairing_matrix(w2).matrix
+            lhs = pairing_matrix(w1 + w2)
+            m1, m2 = pairing_matrix(w1), pairing_matrix(w2)
             assert lhs == [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(m1, m2)]
 
     def test_rank_invariant_under_unimodular_maps(self):
         rng = np.random.default_rng(12)
         omega = Multivector.blade(7, (0, 1, 2)) + Multivector.blade(7, (3, 4, 5))
-        base_rank = pairing_matrix(omega).rank(DEFAULT_PRIME)
+        base_rank = rank_mod_p(pairing_matrix(omega), DEFAULT_PRIME)
         for _ in range(20):
             g = random_unimodular(rng, 7)
             moved = apply_linear_map(g, omega)
-            assert pairing_matrix(moved).rank(DEFAULT_PRIME) == base_rank
+            assert rank_mod_p(pairing_matrix(moved), DEFAULT_PRIME) == base_rank
 
 
 class TestTensorFormat:

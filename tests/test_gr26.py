@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from oracle import apply_linear_map, random_tensor, random_unimodular
 
+from grsecant import fieldcore
 from grsecant.extalg import Multivector, pairing_matrix, wedge_vectors
-from grsecant.fieldcore import DEFAULT_PRIME, MAX_PRIME, SECOND_PRIME
+from grsecant.fieldcore import DEFAULT_PRIME, MAX_PRIME, SECOND_PRIME, det_exact, rank_exact, rank_mod_p
 from grsecant.gr26 import (
     _span_check,
     classify,
@@ -74,6 +75,20 @@ class TestClassify:
             rep = classify(random_tensor(rng))
             assert rep.invariant_mod_p == rep.invariant_exact % DEFAULT_PRIME
 
+    @pytest.mark.parametrize(
+        "omega, rank, eliminations",
+        [(fano_tensor(), 21, 1), (blade1((1, 2, 3)) + blade1((4, 5, 6)), 12, 2)],
+        ids=["fano", "rank-12"],
+    )
+    def test_eliminations(self, monkeypatch, omega, rank, eliminations):
+        # The determinant's elimination decides full rank; only a singular
+        # pairing is eliminated again for its rank.
+        calls = []
+        bareiss = fieldcore._bareiss
+        monkeypatch.setattr(fieldcore, "_bareiss", lambda rows: calls.append(len(rows)) or bareiss(rows))
+        assert classify(omega).rank == rank
+        assert calls == [21] * eliminations
+
     @pytest.mark.parametrize("p", PRIMES)
     def test_invariant_mod_p_at_every_prime(self, p):
         rng = np.random.default_rng(p)
@@ -124,7 +139,7 @@ class TestInvariant:
 
     def test_cube_consistency_mod_p(self):
         inv = degree7_invariant(fano_tensor())
-        assert pairing_matrix(fano_tensor()).det() // 2 == inv**3
+        assert det_exact(pairing_matrix(fano_tensor())) // 2 == inv**3
         for p in PRIMES:
             assert classify(fano_tensor(), p).invariant_mod_p == inv % p
 
@@ -135,9 +150,9 @@ class TestPairingRankProperties:
         for _ in range(100):
             w1 = random_secant_point(rng, 2)
             w2 = random_secant_point(rng, 1)
-            r1 = pairing_matrix(w1).rank(DEFAULT_PRIME)
-            r2 = pairing_matrix(w2).rank(DEFAULT_PRIME)
-            r12 = pairing_matrix(w1 + w2).rank(DEFAULT_PRIME)
+            r1 = rank_mod_p(pairing_matrix(w1), DEFAULT_PRIME)
+            r2 = rank_mod_p(pairing_matrix(w2), DEFAULT_PRIME)
+            r12 = rank_mod_p(pairing_matrix(w1 + w2), DEFAULT_PRIME)
             assert r12 <= r1 + r2
 
     def test_figure1_ranks_invariant_under_basis_change(self):
@@ -147,12 +162,12 @@ class TestPairingRankProperties:
                 g = random_unimodular(rng, 7)
                 assert round(np.linalg.det(g.astype(float))) == 1
                 moved = apply_linear_map(g, row.omega)
-                assert pairing_matrix(moved).rank(DEFAULT_PRIME) == row.rank
+                assert rank_mod_p(pairing_matrix(moved), DEFAULT_PRIME) == row.rank
 
     def test_mod_p_rank_equals_exact_on_figure1(self):
         for row in figure1_table(seed=0):
             cm = pairing_matrix(row.omega)
-            assert cm.rank(DEFAULT_PRIME) == cm.rank()
+            assert rank_mod_p(cm, DEFAULT_PRIME) == rank_exact(cm)
 
 
 class TestFigure1:
@@ -166,7 +181,7 @@ class TestFigure1:
         for terms, want in [(1, 6), (2, 12), (3, 18)]:
             seen = 0
             for _ in range(20):
-                rank = pairing_matrix(random_secant_point(rng, terms)).rank(DEFAULT_PRIME)
+                rank = rank_mod_p(pairing_matrix(random_secant_point(rng, terms)), DEFAULT_PRIME)
                 assert rank <= want
                 seen += rank == want
             assert seen >= 18
@@ -210,7 +225,7 @@ class TestHelpers:
     def test_random_decomposable_is_decomposable(self):
         rng = np.random.default_rng(12)
         w = random_decomposable(rng)
-        assert pairing_matrix(w).rank(DEFAULT_PRIME) <= 6
+        assert rank_mod_p(pairing_matrix(w), DEFAULT_PRIME) <= 6
 
     def test_five_term_tensor_support(self):
         w = five_term_tensor(1, 2, 3, 4, 5)
