@@ -6,18 +6,24 @@ file is only ever appended to, one whole line per `put`, in the one form
 `put` writes: `{"key": "<64 hex>", "record": {...}}` as dumped with sorted
 keys.  Appends from several processes take turns under an exclusive lock.
 
-Loading the file indexes each line in that form by its key without decoding
-it; a record is decoded only when it is replayed.  On duplicate keys the
-first line that decodes to a {"key", "record"} entry and passes the replay
-check wins.  The caller passes that check to `get` (the CLI passes
-`terracini.replays` for a probe record); the cache itself knows no
-command, and without a check any decoded entry replays.
+Loading reads the file once and indexes it in one vectorised pass over its
+bytes: the fixed head, the 64 lowercase hex digits of the key and the
+closing `}}` of every line are checked at once, and the keys are kept as
+one array.  A line that fails this test (blank, cut short, padded with
+whitespace or CRLF, or written by hand) is stripped and checked again on
+its own, so exactly the lines in `put`'s form are indexed.  A record is
+decoded only when it is replayed.  On duplicate keys the first line, in
+file order, that decodes to a {"key", "record"} entry and passes the
+replay check wins.  The caller passes that check to `get` (the CLI checks
+the record's envelope and, for a probe or induction record, rebuilds it
+from the problem asked); the cache itself knows no command, and without a
+check any decoded entry replays.
 
 Two kinds of line are skipped with a warning that names which: at load,
-every line not in `put`'s form, such as one cut short by a killed run or
-one written by hand; at replay, a line in that form whose body does not
-decode or fails the check, after which the next line with the same key is
-tried.  The next append after a cut-short line starts on a fresh line.
+every line not in `put`'s form; at replay, a line in that form whose body
+does not decode or fails the check, after which the next line with the
+same key is tried.  The next append after a cut-short line starts on a
+fresh line.
 """
 
 from __future__ import annotations
@@ -30,11 +36,22 @@ import sys
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 # A line as `put` writes it: _HEAD, the key's 64 hex digits, _MIDDLE, the
 # rest of the record, b"}}".  Only the record's replay decodes and checks it.
 _HEAD, _MIDDLE = b'{"key": "', b'", "record": {'
-_KEY_END = len(_HEAD) + 64
+_KEY = slice(len(_HEAD), len(_HEAD) + 64)
 _HEX = b"0123456789abcdef"
+# The head, the key and the middle as one template whose key bytes are free;
+# a line in form is at least the template and b"}}" long.
+_TEMPLATE = np.frombuffer(_HEAD + bytes(64) + _MIDDLE, np.uint8)
+_FIXED = np.ones(_TEMPLATE.size, bool)
+_FIXED[_KEY] = False
+_SHORTEST = _TEMPLATE.size + 2
+# Marks an indexed line already tried; no ASCII key equals it.
+_TRIED = b"\xff"
 
 
 def default_cache_dir() -> Path:
@@ -54,14 +71,28 @@ def _is_entry(entry) -> bool:
     return isinstance(entry, dict) and isinstance(entry.get("key"), str) and isinstance(entry.get("record"), dict)
 
 
+def _in_form(line: bytes) -> bool:
+    """Whether one stripped line is in `put`'s form, checked on its bytes."""
+    return (
+        line.startswith(_HEAD)
+        and line.startswith(_MIDDLE, _KEY.stop)
+        and line.endswith(b"}}")
+        and not line[_KEY].translate(None, _HEX)
+    )
+
+
 class ResultCache:
     def __init__(self, directory: Path | None = None):
         self.directory = Path(directory) if directory else default_cache_dir()
         self.path = self.directory / "results.jsonl"
-        # ASCII key -> its lines not yet decoded, newline-joined in file
-        # order; bytes rather than a list per key, so that a load creates
-        # no objects for the garbage collector to track
-        self._lines: dict[bytes, bytes] | None = None
+        # Once loaded: the file's bytes, and for each line in form, in file
+        # order, its ASCII key (_TRIED once tried) and its start and end
+        self._data = b""
+        self._keys: np.ndarray | None = None
+        self._starts: np.ndarray | None = None
+        self._ends: np.ndarray | None = None
+        # key -> lines put since the load, not yet tried
+        self._appended: dict[str, list[bytes]] = {}
         # key -> the record replayed for it
         self._records: dict[str, dict] = {}
 
@@ -69,35 +100,63 @@ class ResultCache:
         if skipped:
             print(f"warning: skipped {skipped} undecodable line(s) in {self.path}: {cause}", file=sys.stderr)
 
-    def _load(self) -> dict[bytes, bytes]:
-        if self._lines is None:
-            lines = self._lines = {}
-            skipped = 0
-            if self.path.exists():
-                for line in self.path.read_bytes().split(b"\n"):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    key = line[len(_HEAD) : _KEY_END]
-                    if (
-                        line.startswith(_HEAD)
-                        and line.startswith(_MIDDLE, _KEY_END)
-                        and line.endswith(b"}}")
-                        and not key.translate(None, _HEX)
-                    ):
-                        lines[key] = lines[key] + b"\n" + line if key in lines else line
-                    else:
-                        skipped += 1
-            self._warn(skipped, "not in the cache's line form")
-        return self._lines
+    def _load(self) -> None:
+        if self._keys is not None:
+            return
+        data = self._data = self.path.read_bytes() if self.path.exists() else b""
+        a = np.frombuffer(data, np.uint8)
+        newlines = np.flatnonzero(a == ord("\n"))
+        starts = np.concatenate(([0], newlines + 1))
+        ends = np.concatenate((newlines, [a.size]))
+        keys = np.zeros(starts.size, "S64")
+        # Every line long enough is tested at once, as written: the template's
+        # fixed bytes, 64 lowercase hex digits, and b"}}" last.  (No line is
+        # long enough in a file shorter than the template.)
+        indexed = ends - starts >= _SHORTEST
+        if indexed.any():
+            rows = np.flatnonzero(indexed)
+            head = sliding_window_view(a, _TEMPLATE.size)[starts[rows]]
+            key = np.ascontiguousarray(head[:, _KEY])
+            close = ends[rows]
+            indexed[rows] = (
+                ((head ^ _TEMPLATE)[:, _FIXED] == 0).all(axis=1)
+                & (((key - ord("0")) < 10) | ((key - ord("a")) < 6)).all(axis=1)
+                & (a[close - 2] == ord("}"))
+                & (a[close - 1] == ord("}"))
+            )
+            keys[rows] = key.view("S64")[:, 0]
+        # The lines that test rejects are stripped and tested one at a time.
+        skipped = 0
+        for i in np.flatnonzero(~indexed).tolist():
+            raw = data[starts[i] : ends[i]]
+            line = raw.strip()
+            if not line:
+                continue
+            if _in_form(line):
+                starts[i] += len(raw) - len(raw.lstrip())
+                ends[i] = starts[i] + len(line)
+                keys[i] = line[_KEY]
+                indexed[i] = True
+            else:
+                skipped += 1
+        self._keys, self._starts, self._ends = keys[indexed], starts[indexed], ends[indexed]
+        self._warn(skipped, "not in the cache's line form")
+
+    def _untried(self, key: str) -> list[bytes]:
+        """The lines of `key` not tried yet: those of the file in file order,
+        then those put since the load.  Each line is handed out once."""
+        self._load()
+        rows = np.flatnonzero(self._keys == key.encode("ascii"))
+        self._keys[rows] = _TRIED
+        bounds = zip(self._starts[rows].tolist(), self._ends[rows].tolist())
+        return [self._data[start:end] for start, end in bounds] + self._appended.pop(key, [])
 
     def get(self, key: str, replays: Callable[[dict], bool] | None = None) -> dict | None:
         """The record replayed for `key`: the first of its lines that decodes
         and, if `replays` is given, passes that check."""
         if key not in self._records:
             skipped = 0
-            pending = self._load().pop(key.encode("ascii"), None)
-            for line in pending.split(b"\n") if pending else ():
+            for line in self._untried(key):
                 try:
                     entry = json.loads(line)
                 except ValueError:
@@ -124,7 +183,5 @@ class ResultCache:
             os.write(fd, (b"\n" if torn else b"") + line + b"\n")
         finally:
             os.close(fd)
-        if self._lines is not None and key not in self._records:
-            ascii_key = key.encode("ascii")
-            pending = self._lines.get(ascii_key)
-            self._lines[ascii_key] = line if pending is None else pending + b"\n" + line
+        if self._keys is not None and key not in self._records:
+            self._appended.setdefault(key, []).append(line)

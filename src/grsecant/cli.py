@@ -70,18 +70,25 @@ def _emit(config: RunConfig, record: dict, *lines: str):
     click.echo(json.dumps(record, sort_keys=True) if config.as_json else "\n".join(lines))
 
 
-def _run_cached(config: RunConfig, command: str, parameters: dict, prime: int, compute, check=None):
+def _run_cached(config: RunConfig, command: str, parameters: dict, prime: int, compute, check):
     """Replay a cached record that passes `check`, or compute and return it.
 
-    A computed record is appended only when the cache has no sound line for
-    its key: with --no-cache the first sound line would still win every
-    later replay, so a second line could never be read.
+    A cached record is sound only if its envelope (command, parameters,
+    prime, seed, version) is the payload its key hashes and `check` accepts
+    it.  A computed record is appended only when the cache has no sound
+    line for its key: with --no-cache the first sound line would still win
+    every later replay, so a second line could never be read.
     """
     payload = _record(command, parameters, prime=prime, seed=config.seed)
     # The kernel tag is hashed but not stored: a record computed by another
     # elimination kernel is never replayed.
     key = cache_key(dict(payload, kernel=KERNEL))
-    hit = config.cache.get(key, check)
+
+    def sound(record: dict) -> bool:
+        envelope = {field: record.get(field) for field in payload}
+        return cache_key(dict(envelope, kernel=KERNEL)) == key and check(record)
+
+    hit = config.cache.get(key, sound)
     if hit is not None and config.read_cache:
         return hit
     t0 = time.perf_counter()
@@ -249,7 +256,14 @@ def induction_cmd(config: RunConfig, n_max: int):
             cert = induction.certify_theorem(n_max, prime, config.seed, config.trials)
             return cert.to_record()
 
-        record = _run_cached(config, "induction", {"n_max": n_max, "trials": config.trials}, prime, compute)
+        record = _run_cached(
+            config,
+            "induction",
+            {"n_max": n_max, "trials": config.trials},
+            prime,
+            compute,
+            lambda record: induction.replays(n_max, prime, config.seed, record.get("result")),
+        )
         result = record["result"]
         lines = []
         for case in result["base_cases"]:

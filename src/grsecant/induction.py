@@ -3,11 +3,14 @@
 Formula evaluation goes through exact rationals with the floor or ceiling
 applied last; floating point never touches a threshold.  The base-case
 checks place constrained random points against coordinate-subspace spans and
-compare exact GF(p) ranks with the predicted targets.
+compare exact GF(p) ranks with the predicted targets.  Everything in a
+certificate's record but those ranks follows from the formulas, which is how
+`replays` checks a cached record without computing a rank.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,6 +23,7 @@ from .terracini import (
     DEFAULT_TRIALS,
     SecantProblem,
     Verdict,
+    expected_affine_dim,
     probe,
 )
 
@@ -171,17 +175,54 @@ def _span(n: int, support) -> CoordinateSubspace:
     return CoordinateSubspace(n, tuple(support))
 
 
-def _run_config(
+def _plan(prop: str, n: int, variant: str | None) -> tuple[int, dict]:
+    """A base case's target rank and the point counts its record carries."""
+    if prop == "a":
+        return ambient(n), {}
+    if prop == "b":
+        frac = Fraction(6 * n - 49, 9)
+        s = math.floor(frac) if variant == "floor" else math.ceil(frac)
+        missing = 36 * (n - 6) - 36 * s - 4 * (3 * n - 5) if variant == "floor" else 0
+        return ambient(n) - missing, {"points_per_span": s}
+    if prop == "c":
+        f, s = (f1(n), points_kept_floor(n)) if variant == "floor" else (f2(n), points_kept_ceil(n))
+        missing = 3 * n * n - 18 * n + 35 - 18 * f - (3 * n - 5) * s if variant == "floor" else 0
+        return ambient(n) - missing, {"points_on_span": f, "free_points": s}
+    s = s1(n) if variant == "s1" else s2(n)
+    return expected_affine_dim(2, n, s), {"s": s}
+
+
+def _base_case(prop: str, n: int, variant: str | None, achieved: int, span_rank: int | None = None) -> PropCheck:
+    """A base case from its achieved rank (and Prop. A's span rank); the rest follows from `_plan`.
+
+    Raises ValueError unless 0 <= achieved <= target <= ambient and, for
+    Prop. A, 0 <= span_rank <= ambient.
+    """
+    target, details = _plan(prop, n, variant)
+    amb = ambient(n)
+    verdict = Verdict.of(achieved, target, amb)
+    passed = verdict.is_certified()
+    if prop == "a":
+        if not 0 <= span_rank <= amb:
+            raise ValueError(f"span rank {span_rank} out of range [0, {amb}]")
+        details["span_residual"] = amb - span_rank
+        passed = passed and details["span_residual"] == 6**3
+    elif prop == "probe":
+        details["verdict"] = verdict.value
+        passed = verdict is (Verdict.CERTIFIED_EXPECTED if variant == "s1" else Verdict.CERTIFIED_FILLS)
+    return PropCheck(prop, n, variant, target, achieved, amb, amb - target, amb - achieved, passed, span_rank, details)
+
+
+def _achieved_rank(
     prop: str,
     n: int,
     variant: str | None,
     spans: tuple[CoordinateSubspace, ...],
     constraints: list[CoordinateSubspace | None],
-    target: int,
     prime: int,
     seed: int,
     trials: int,
-) -> PropCheck:
+) -> int:
     problem = SecantProblem(
         k=2,
         n=n,
@@ -192,19 +233,7 @@ def _run_config(
         point_constraints=tuple(constraints),
         extra_spans=spans,
     )
-    verdict = probe(problem, target_rank=target)
-    amb = ambient(n)
-    return PropCheck(
-        prop=prop,
-        n=n,
-        variant=variant,
-        target_rank=target,
-        achieved_rank=verdict.achieved_rank,
-        ambient=amb,
-        expected_residual=amb - target,
-        residual=verdict.residual_dimension,
-        passed=verdict.achieved_rank == target,
-    )
+    return probe(problem, target_rank=_plan(prop, n, variant)[0]).achieved_rank
 
 
 def prop_a_supports(n: int) -> tuple[CoordinateSubspace, CoordinateSubspace, CoordinateSubspace]:
@@ -232,14 +261,9 @@ def check_prop_a(
     L, M, N = prop_a_supports(n)
     spans = (L, M, N)
     constraints: list[CoordinateSubspace | None] = [L] * 4 + [M] * 4 + [N] * 4
-    target = ambient(n)
-    check = _run_config("a", n, None, spans, constraints, target, prime, seed, trials)
-
+    achieved = _achieved_rank("a", n, None, spans, constraints, prime, seed, trials)
     span_stack = np.vstack([span_unit_rows(subgrassmannian_span(S, 3), n + 1, 3) for S in spans])
-    check.span_rank = rank_mod_p(span_stack, prime)
-    check.details["span_residual"] = ambient(n) - check.span_rank
-    check.passed = check.passed and check.details["span_residual"] == 6**3
-    return check
+    return _base_case("a", n, None, achieved, rank_mod_p(span_stack, prime))
 
 
 def check_prop_b(
@@ -258,18 +282,11 @@ def check_prop_b(
         raise ValueError("needs n >= 11")
     if variant not in ("floor", "ceil"):
         raise ValueError("variant must be floor or ceil")
-    frac = Fraction(6 * n - 49, 9)
-    s = math.floor(frac) if variant == "floor" else math.ceil(frac)
+    s = _plan("b", n, variant)[1]["points_per_span"]
     L = _span(n, range(6, n + 1))
     M = _span(n, range(0, n - 5))
     constraints: list[CoordinateSubspace | None] = [L] * s + [M] * s + [None] * 4
-    if variant == "floor":
-        target = ambient(n) - (36 * (n - 6) - 36 * s - 4 * (3 * n - 5))
-    else:
-        target = ambient(n)
-    check = _run_config("b", n, variant, (L, M), constraints, target, prime, seed, trials)
-    check.details["points_per_span"] = s
-    return check
+    return _base_case("b", n, variant, _achieved_rank("b", n, variant, (L, M), constraints, prime, seed, trials))
 
 
 def check_prop_c(
@@ -284,18 +301,10 @@ def check_prop_c(
         raise ValueError("needs n >= 9")
     if variant not in ("floor", "ceil"):
         raise ValueError("variant must be floor or ceil")
-    if variant == "floor":
-        f, s = f1(n), points_kept_floor(n)
-        target = ambient(n) - (3 * n * n - 18 * n + 35 - 18 * f - (3 * n - 5) * s)
-    else:
-        f, s = f2(n), points_kept_ceil(n)
-        target = ambient(n)
+    counts = _plan("c", n, variant)[1]
     L = _span(n, range(6, n + 1))
-    constraints: list[CoordinateSubspace | None] = [L] * f + [None] * s
-    check = _run_config("c", n, variant, (L,), constraints, target, prime, seed, trials)
-    check.details["points_on_span"] = f
-    check.details["free_points"] = s
-    return check
+    constraints: list[CoordinateSubspace | None] = [L] * counts["points_on_span"] + [None] * counts["free_points"]
+    return _base_case("c", n, variant, _achieved_rank("c", n, variant, (L,), constraints, prime, seed, trials))
 
 
 def _probe_base(
@@ -305,22 +314,18 @@ def _probe_base(
     seed: int,
     trials: int,
 ) -> PropCheck:
-    s = s1(n) if which == "s1" else s2(n)
-    problem = SecantProblem(k=2, n=n, s=s, prime=prime, seed=seed, trials=trials)
-    verdict = probe(problem)
-    want = Verdict.CERTIFIED_EXPECTED if which == "s1" else Verdict.CERTIFIED_FILLS
-    return PropCheck(
-        prop="probe",
-        n=n,
-        variant=which,
-        target_rank=verdict.expected_rank,
-        achieved_rank=verdict.achieved_rank,
-        ambient=verdict.ambient,
-        expected_residual=verdict.ambient - verdict.expected_rank,
-        residual=verdict.ambient - verdict.achieved_rank,
-        passed=verdict.verdict is want,
-        details={"s": s, "verdict": verdict.verdict.value},
-    )
+    s = _plan("probe", n, which)[1]["s"]
+    verdict = probe(SecantProblem(k=2, n=n, s=s, prime=prime, seed=seed, trials=trials))
+    return _base_case("probe", n, which, verdict.achieved_rank)
+
+
+# certify_theorem's base cases as (prop, n, variant), in the order it checks them.
+_BASE_CASES = (
+    (("a", 17, None),)
+    + tuple(("b", n, variant) for n in range(11, 17) for variant in ("floor", "ceil"))
+    + tuple(("c", n, variant) for n in range(9, 15) for variant in ("floor", "ceil"))
+    + tuple(("probe", n, which) for n in range(9, 15) for which in ("s1", "s2"))
+)
 
 
 @dataclass
@@ -329,8 +334,16 @@ class InductionCertificate:
     prime: int
     seed: int
     base_cases: list[PropCheck]
-    chain_checks: dict[int, dict[str, bool]]
-    conclusion: tuple[int, int] | None
+    chain_checks: dict[int, dict[str, bool]] = field(init=False)
+
+    def __post_init__(self):
+        self.chain_checks = {n: chain_inequalities(n) for n in range(15, self.n_max + 1)}
+
+    @property
+    def conclusion(self) -> tuple[int, int] | None:
+        """[9, n_max] exactly when every base case passes and every chain inequality holds."""
+        ok = all(c.passed for c in self.base_cases) and all(all(v.values()) for v in self.chain_checks.values())
+        return (MIN_FORMULA_N, self.n_max) if ok else None
 
     @property
     def passed(self) -> bool:
@@ -364,24 +377,40 @@ def certify_theorem(
     """
     if n_max < 14:
         raise ValueError("needs n_max >= 14")
-    base: list[PropCheck] = []
-    base.append(check_prop_a(17, prime, seed, trials))
-    for n in range(11, 17):
-        base.append(check_prop_b(n, "floor", prime, seed, trials))
-        base.append(check_prop_b(n, "ceil", prime, seed, trials))
-    for n in range(9, 15):
-        base.append(check_prop_c(n, "floor", prime, seed, trials))
-        base.append(check_prop_c(n, "ceil", prime, seed, trials))
-    for n in range(9, 15):
-        base.append(_probe_base(n, "s1", prime, seed, trials))
-        base.append(_probe_base(n, "s2", prime, seed, trials))
-    chain = {n: chain_inequalities(n) for n in range(15, n_max + 1)}
-    ok = all(c.passed for c in base) and all(all(v.values()) for v in chain.values())
-    return InductionCertificate(
-        n_max=n_max,
-        prime=prime,
-        seed=seed,
-        base_cases=base,
-        chain_checks=chain,
-        conclusion=(MIN_FORMULA_N, n_max) if ok else None,
-    )
+    base = [
+        check_prop_a(n, prime, seed, trials) if prop == "a"
+        else check_prop_b(n, variant, prime, seed, trials) if prop == "b"
+        else check_prop_c(n, variant, prime, seed, trials) if prop == "c"
+        else _probe_base(n, variant, prime, seed, trials)
+        for prop, n, variant in _BASE_CASES
+    ]
+    return InductionCertificate(n_max=n_max, prime=prime, seed=seed, base_cases=base)
+
+
+def replays(n_max: int, prime: int, seed: int, result) -> bool:
+    """Whether a cached induction result is the record `certify_theorem` writes.
+
+    Only each base case's achieved rank, and Prop. A's span rank, are read
+    from the result, and must be exact ints.  The base cases are rebuilt
+    from them in certify_theorem's order, the chain and the conclusion from
+    the formulas, and the rebuilt record must dump to the same JSON as the
+    result.  No rank is computed, so an edit is caught only where it
+    disagrees with the record's own ranks.
+    """
+    if not isinstance(result, dict) or not isinstance(result.get("base_cases"), list):
+        return False
+    if len(result["base_cases"]) != len(_BASE_CASES):
+        return False
+    cases = []
+    for (prop, n, variant), case in zip(_BASE_CASES, result["base_cases"]):
+        if not isinstance(case, dict):
+            return False
+        ranks = [case.get("achieved")] + ([case.get("span_rank")] if prop == "a" else [])
+        if any(type(rank) is not int for rank in ranks):
+            return False
+        try:
+            cases.append(_base_case(prop, n, variant, *ranks))
+        except ValueError:
+            return False
+    rebuilt = InductionCertificate(n_max=n_max, prime=prime, seed=seed, base_cases=cases).to_record()
+    return json.dumps(rebuilt, sort_keys=True) == json.dumps(result, sort_keys=True)

@@ -9,7 +9,7 @@ expectation is a valid characteristic-0 certificate by semicontinuity;
 falling short is only circumstantial evidence of a defect, so such
 verdicts are inconclusive and retried with fresh seeds.
 
-The verdict is derived from the ranks in one place, `SpanVerdict`.  A
+The verdict is derived from the ranks in one place, `Verdict.of`.  A
 cached probe record is replayed only if `replays` rebuilds the same record
 from the problem asked and the record's achieved rank and trial count.
 """
@@ -55,6 +55,19 @@ class Verdict(str, enum.Enum):
 
     def is_certified(self) -> bool:
         return self is not Verdict.INCONCLUSIVE_DEFICIT
+
+    @classmethod
+    def of(cls, achieved: int, expected: int, ambient: int) -> Verdict:
+        """The verdict of a stack rank: reaching the expected rank certifies
+        it, as CertifiedFills when that rank is the ambient dimension.
+
+        Raises ValueError unless 0 <= achieved <= expected <= ambient.
+        """
+        if not 0 <= achieved <= expected <= ambient:
+            raise ValueError(f"rank bookkeeping broken: 0 <= {achieved} <= {expected} <= {ambient} fails")
+        if achieved < expected:
+            return cls.INCONCLUSIVE_DEFICIT
+        return cls.CERTIFIED_FILLS if expected == ambient else cls.CERTIFIED_EXPECTED
 
 
 def expected_affine_dim(k: int, n: int, s: int) -> int:
@@ -106,11 +119,7 @@ class SpanVerdict:
     trials_used: int
 
     def __post_init__(self):
-        if not 0 <= self.achieved_rank <= self.expected_rank <= self.ambient:
-            raise ValueError(
-                f"rank bookkeeping broken: 0 <= {self.achieved_rank} <= "
-                f"{self.expected_rank} <= {self.ambient} fails"
-            )
+        self.verdict  # raises ValueError on broken rank bookkeeping
 
     @property
     def ambient(self) -> int:
@@ -118,9 +127,7 @@ class SpanVerdict:
 
     @property
     def verdict(self) -> Verdict:
-        if self.achieved_rank < self.expected_rank:
-            return Verdict.INCONCLUSIVE_DEFICIT
-        return Verdict.CERTIFIED_FILLS if self.expected_rank == self.ambient else Verdict.CERTIFIED_EXPECTED
+        return Verdict.of(self.achieved_rank, self.expected_rank, self.ambient)
 
     @property
     def deficit(self) -> int:

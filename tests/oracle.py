@@ -8,6 +8,10 @@ expansion and the full tangent frame that `grassmann.maximal_minors_mod`
 and `grassmann.frame_rows` replaced; `tangent_frame` builds the same frame
 from exact wedges and checks its rank.
 
+`cache_index_reference` and `cache_replay_reference` are the
+line-by-line cache load and replay that `cache.ResultCache`'s vectorised
+index replaced.
+
 The rest are helpers no package code calls: `monomial_tangent_basis` (the
 index sets of the tangent space at a coordinate point), `subset_unrank`,
 `apply_linear_map`, `random_unimodular` and `format_tensor` on the exterior
@@ -15,6 +19,7 @@ algebra, `is_symmetric` on the pairing matrix, `random_tensor` for Gr(2,6),
 and `s1_intro`, the paper's two-floor closed form of `induction.s1`.
 """
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -233,3 +238,45 @@ def s1_intro(n: int) -> int:
     """Two-floor closed form; identical to s1 (the floor arguments are equal)."""
     _require(n)
     return math.floor(Fraction(n * n, 18) - Fraction(20 * n, 27) + Fraction(287, 81)) + points_kept_floor(n)
+
+
+def cache_index_reference(data: bytes) -> tuple[dict[str, list[bytes]], int]:
+    """Each stripped line of a cache file in `put`'s form, under its key in
+    file order, and the count of the other non-blank lines."""
+    head, middle, key_end = b'{"key": "', b'", "record": {', 73
+    lines: dict[str, list[bytes]] = {}
+    skipped = 0
+    for line in data.split(b"\n"):
+        line = line.strip()
+        if not line:
+            continue
+        key = line[len(head) : key_end]
+        if (
+            line.startswith(head)
+            and line.startswith(middle, key_end)
+            and line.endswith(b"}}")
+            and not key.translate(None, b"0123456789abcdef")
+        ):
+            lines.setdefault(key.decode("ascii"), []).append(line)
+        else:
+            skipped += 1
+    return lines, skipped
+
+
+def cache_replay_reference(lines: list[bytes], key: str, replays=None) -> tuple[dict | None, int]:
+    """The record replayed from a key's lines, the first that decodes to a
+    {"key", "record"} entry for `key` and passes `replays`, and the count of
+    lines tried and skipped."""
+    for skipped, line in enumerate(lines):
+        try:
+            entry = json.loads(line)
+        except ValueError:
+            continue
+        if (
+            isinstance(entry, dict)
+            and entry.get("key") == key
+            and isinstance(entry.get("record"), dict)
+            and (replays is None or replays(entry["record"]))
+        ):
+            return entry["record"], skipped
+    return None, len(lines)

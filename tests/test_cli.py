@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from oracle import format_tensor
+from oracle import cache_index_reference, cache_replay_reference, format_tensor
 
 from grsecant import __version__
 from grsecant import cache as cache_module
-from grsecant.cache import cache_key
+from grsecant.cache import ResultCache, cache_key
 from grsecant.cli import main
 from grsecant.gr26 import fano_tensor, five_term_tensor
 
@@ -193,6 +193,58 @@ for i in range(200):
 """
 
 
+def _count_reads(monkeypatch) -> list:
+    """Record every path whose bytes are read whole."""
+    reads, read_bytes = [], Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
+    return reads
+
+
+ORACLE_KEYS = [hashlib.sha256(f"oracle {i}".encode()).hexdigest() for i in range(4)]
+
+
+def _not_bad(record: dict) -> bool:
+    return "bad" not in record
+
+
+def _put_line(key: str, record: dict) -> bytes:
+    return json.dumps({"key": key, "record": record}, sort_keys=True).encode()
+
+
+def _cache_files() -> dict[str, bytes]:
+    """Cache files the vectorised index must read exactly as the line-by-line reference does."""
+    k0, k1, k2, k3 = ORACLE_KEYS
+    a, b, c = (_put_line(k, {"line": i}) for i, k in enumerate((k0, k1, k2)))
+    shortest = _put_line(k0, {})
+    assert len(shortest) == 89
+    too_short = [b'{"key": "%s", "record": {}' % k1.encode(), b'{"key": "%s", "record": }}' % k2.encode()]
+    assert {len(line) for line in too_short} == {88}
+    return {
+        "empty": b"",
+        "newlines-only": b"\n\n\n",
+        "crlf": b"\r\n".join((a, b, c, b"")),
+        "padded": b" " + a + b"\t\n\t" + b + b"  \n" + c + b" \x0b\x0c\n",
+        "blank-lines": b"\n\n" + a + b"\n \t \n\n" + b + b"\n\n",
+        "torn-last-line": a + b"\n" + b + b"\n" + c[:-1],
+        "torn-short-last-line": a + b"\n" + b[:40],
+        "uppercase-hex-key": _put_line(k0.upper(), {"line": "upper"}) + b"\n" + a + b"\n",
+        "nested-line-form": _put_line(k0, {"inner": {"key": k1, "record": {"x": 1}}}) + b"\n" + a[:40] + b + b"\n",
+        "duplicate-first-unsound": (
+            b'{"key": "%s", "record": {"x": {oops}}\n' % k0.encode()
+            + b'{"key": "%s", "record": {"x": 1}, "key": "%s", "z": {}}\n' % (k0.encode(), k3.encode())
+            + _put_line(k0, {"bad": 1}) + b"\n" + a + b"\n" + _put_line(k0, {"line": "later"}) + b"\n"
+            + _put_line(k2, {"bad": 2}) + b"\n"
+        ),
+        "shortest-lines": shortest + b"\n" + b"\n".join(too_short) + b"\n",
+        "stripped-line-first": b"  " + _put_line(k0, {"line": "padded"}) + b"\n" + a + b"\n" + b + b"\r\n" + b + b"\n",
+        "utf8": _put_line(k3, {"note": "x"}).replace(b"x", "\u00e9".encode()) + b'\n{"key": "\xc3\xa9' + b"0" * 62 + b'", "record": {}}\n',
+        "tiny-file": b'{"key": "x"}\n{}',
+    }
+
+
+CACHE_FILES = _cache_files()
+
+
 class TestCacheIndex:
     def test_warm_scan_decodes_only_replayed_records(self, runner, tmp_path, monkeypatch):
         args = ["--json", "scan", "-k", "2", "--n-from", "9", "--n-to", "9"]
@@ -206,16 +258,64 @@ class TestCacheIndex:
             entry["record"]["seed"] = 10**9 + i
             padding.append(json.dumps(entry, sort_keys=True))
         cache_file.write_text("".join(line + "\n" for line in padding + real))
-        decoded = []
-        loads = cache_module.json.loads
+        decoded, exact, reads = [], [], _count_reads(monkeypatch)
+        loads, in_form = cache_module.json.loads, cache_module._in_form
         monkeypatch.setattr(cache_module.json, "loads", lambda s, *a, **kw: decoded.append(s) or loads(s, *a, **kw))
+        monkeypatch.setattr(cache_module, "_in_form", lambda line: exact.append(line) or in_form(line))
         warm = invoke(runner, tmp_path, *args)
         monkeypatch.undo()
         assert warm.exit_code == 0 and warm.stdout == cold.stdout
         replayed = warm.stdout.splitlines()
         assert len(replayed) == 2
         assert len(decoded) == len(replayed)
+        # The whole clean file is indexed by the vectorised pass, from one read.
+        assert exact == []
+        assert reads == [cache_file]
         assert len(cache_file.read_text().splitlines()) == 2000
+
+    def test_cold_scan_reads_the_file_once(self, runner, tmp_path, monkeypatch):
+        cache_file = tmp_path / "cache" / "results.jsonl"
+        cache_file.parent.mkdir()
+        cache_file.write_text(json.dumps({"key": "0" * 64, "record": {}}) + "\n")
+        reads = _count_reads(monkeypatch)
+        args = ["--json", "scan", "-k", "2", "--n-from", "9", "--n-to", "14"]
+        cold = invoke(runner, tmp_path, *args)
+        assert cold.exit_code == 0 and len(cold.stdout.splitlines()) == 12
+        assert reads == [cache_file]
+        assert len(cache_file.read_text().splitlines()) == 13
+        warm = invoke(runner, tmp_path, *args)
+        assert warm.stdout == cold.stdout and warm.stderr == ""
+
+    def test_put_is_seen_by_a_later_get_without_a_reread(self, tmp_path, monkeypatch):
+        key, record = "1" * 64, {"command": "note"}
+        (tmp_path / "results.jsonl").write_text(json.dumps({"key": "0" * 64, "record": {}}) + "\n")
+        reads = _count_reads(monkeypatch)
+        cache = ResultCache(tmp_path)
+        assert cache.get(key) is None
+        cache.put(key, record)
+        assert cache.get(key) == record
+        assert reads == [tmp_path / "results.jsonl"]
+
+    @pytest.mark.parametrize("name", sorted(CACHE_FILES))
+    def test_index_matches_line_by_line_reference(self, tmp_path, capsys, name):
+        data = CACHE_FILES[name]
+        path = tmp_path / "results.jsonl"
+        path.write_bytes(data)
+        lines, load_skipped = cache_index_reference(data)
+        keys = ORACLE_KEYS + [key.upper() for key in ORACLE_KEYS] + ["f" * 64]
+        cache = ResultCache(tmp_path)
+        for i, key in enumerate(keys):
+            want, skipped = cache_replay_reference(lines.get(key, []), key, _not_bad)
+            assert cache.get(key, _not_bad) == want, key
+            warnings = [(load_skipped, "not in the cache's line form")] if i == 0 else []
+            warnings.append((skipped, "did not decode or failed the replay check"))
+            assert capsys.readouterr().err == "".join(
+                f"warning: skipped {n} undecodable line(s) in {path}: {cause}\n" for n, cause in warnings if n
+            ), key
+        # Every line is tried once: asking again replays the same and warns of nothing.
+        for key in keys:
+            assert cache.get(key, _not_bad) == cache_replay_reference(lines.get(key, []), key, _not_bad)[0]
+        assert capsys.readouterr().err == ""
 
     def test_corrupt_body_falls_through_to_next_line(self, runner, tmp_path):
         args, first, cache_file, line = _cold_check(runner, tmp_path, "-k", "2", "-n", "6", "-s", "3")
@@ -325,6 +425,36 @@ class TestCacheIndex:
         assert again.stdout == fresh.stdout
         assert len(cache_file.read_text().splitlines()) == 2
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"command": "other"},
+            {"seed": 99},
+            {"prime": 31991},
+            {"version": "0.0.0"},
+            {"parameters": {"k": 2, "n": 6, "s": 3, "strategy": "monomial", "trials": 3}},
+            {"command": "other", "seed": 99, "parameters": {"k": 2, "n": 6, "s": 3, "strategy": "monomial", "trials": 3}},
+        ],
+        ids=["command", "seed", "prime", "version", "strategy", "command-seed-strategy"],
+    )
+    def test_envelope_not_its_key_payload_is_skipped(self, runner, tmp_path, fields):
+        args, first, cache_file, line = _cold_check(runner, tmp_path, "-k", "2", "-n", "6", "-s", "3")
+        entry = json.loads(line)
+        entry["record"].update(fields)
+        bad = json.dumps(entry, sort_keys=True)
+        cache_file.write_text(bad + "\n" + line + "\n")
+        replay = invoke(runner, tmp_path, *args)
+        assert replay.stdout == first.stdout
+        assert replay.stderr == (
+            f"warning: skipped 1 undecodable line(s) in {cache_file}: did not decode or failed the replay check\n"
+        )
+        cache_file.write_text(bad + "\n")
+        fresh = invoke(runner, tmp_path, *args)
+        assert fresh.exit_code == 0
+        assert {**json.loads(fresh.stdout), "elapsed_ms": 0} == {**json.loads(first.stdout), "elapsed_ms": 0}
+        assert cache_file.read_text().splitlines()[0] == bad
+        assert len(cache_file.read_text().splitlines()) == 2
+
     def test_concurrent_appends_stay_whole_lines(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(cache_module.__file__).parents[1]))
         writers = [
@@ -425,6 +555,28 @@ class TestInduction:
     def test_usage_guard(self, runner, tmp_path):
         result = invoke(runner, tmp_path, "induction", "--n-max", "10")
         assert result.exit_code == 2
+
+    def test_edited_record_is_recomputed(self, runner, tmp_path):
+        args = ("induction", "--n-max", "14")
+        first = invoke(runner, tmp_path, *args)
+        cache_file = tmp_path / "cache" / "results.jsonl"
+        (line,) = cache_file.read_text().splitlines()
+        # The record as written replays, with no warning and no append.
+        again = invoke(runner, tmp_path, *args)
+        assert again.stdout == first.stdout and again.stderr == ""
+        assert cache_file.read_text().splitlines() == [line]
+        entry = json.loads(line)
+        entry["record"]["result"]["conclusion"] = [9, 1000]
+        for case in entry["record"]["result"]["base_cases"]:
+            case["passed"] = True
+        bad = json.dumps(entry, sort_keys=True)
+        cache_file.write_text(bad + "\n")
+        fresh = invoke(runner, tmp_path, *args)
+        assert fresh.exit_code == 0
+        assert fresh.stdout == first.stdout
+        assert "certified for n in [9, 14]" in fresh.stdout and "1000" not in fresh.stdout
+        assert "skipped 1 undecodable line(s)" in fresh.stderr
+        assert cache_file.read_text().splitlines()[0] == bad
 
 
 class TestClassify:

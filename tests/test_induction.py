@@ -1,10 +1,12 @@
+import copy
 import math
 from fractions import Fraction
 
 import pytest
 from oracle import s1_intro
 
-from grsecant.fieldcore import SECOND_PRIME
+from grsecant import induction
+from grsecant.fieldcore import DEFAULT_PRIME, SECOND_PRIME
 from grsecant.induction import (
     ambient,
     bounds,
@@ -18,6 +20,7 @@ from grsecant.induction import (
     f1,
     f2,
     generic_lower_bound,
+    replays,
     s1,
     s2,
     s2_intro,
@@ -219,3 +222,81 @@ class TestCertificate:
         assert v1.verdict is Verdict.CERTIFIED_EXPECTED
         v2 = probe(SecantProblem(2, 15, s2(15), seed=0))
         assert v2.verdict is Verdict.CERTIFIED_FILLS
+
+
+@pytest.fixture(scope="module")
+def record14():
+    return certify_theorem(14, seed=0).to_record()
+
+
+def _set(path, value):
+    """An edit that sets record[path[0]][path[1]]... to value."""
+
+    def edit(record):
+        target = record
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+
+    return edit
+
+
+class TestReplays:
+    def test_written_record_replays_without_computing_a_rank(self, record14, monkeypatch):
+        def no_rank(*args, **kwargs):
+            raise AssertionError("replays computed a rank")
+
+        monkeypatch.setattr(induction, "probe", no_rank)
+        monkeypatch.setattr(induction, "rank_mod_p", no_rank)
+        assert replays(14, DEFAULT_PRIME, 0, record14)
+        # A rank cannot be checked without computing it: an edit that keeps
+        # the record consistent with its own ranks still replays.
+        failing = copy.deepcopy(record14)
+        case = failing["base_cases"][1]
+        case.update(achieved=case["achieved"] - 1, residual=case["residual"] + 1, passed=False)
+        failing["conclusion"] = None
+        assert replays(14, DEFAULT_PRIME, 0, failing)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _set(["conclusion"], [9, 1000]),
+            _set(["conclusion"], None),
+            _set(["n_max"], 15),
+            _set(["prime"], SECOND_PRIME),
+            _set(["seed"], 1),
+            _set(["chain"], [{"n": 15, "ok": True}]),
+            _set(["base_cases", 3, "passed"], False),
+            _set(["base_cases", 3, "target"], 1),
+            _set(["base_cases", 3, "achieved"], 1),
+            _set(["base_cases", 3, "achieved"], 188.0),
+            _set(["base_cases", 3, "achieved"], True),
+            _set(["base_cases", 3, "achieved"], 10**6),
+            _set(["base_cases", 3, "span_rank"], 600),
+            _set(["base_cases", 3, "variant"], "ceil"),
+            _set(["base_cases", 0, "span_rank"], None),
+            _set(["base_cases", 0, "span_rank"], 601),
+            _set(["base_cases", 0, "span_rank"], -1),
+            _set(["base_cases", 0, "span_residual"], 215),
+            _set(["base_cases", 29, "verdict"], "CertifiedFills"),
+            _set(["base_cases", 30, "prop"], "c"),
+            lambda record: record["base_cases"].pop(),
+            lambda record: record["base_cases"].reverse(),
+            lambda record: record["base_cases"].__setitem__(5, [1]),
+            lambda record: record.__setitem__("base_cases", {}),
+        ],
+        ids=[
+            "conclusion-widened", "conclusion-dropped", "n-max", "prime", "seed", "chain", "passed", "target",
+            "achieved", "achieved-float", "achieved-bool", "achieved-above-target", "span-rank-on-prop-b",
+            "variant", "span-rank-missing", "span-rank", "span-rank-negative", "span-residual", "probe-verdict",
+            "prop", "case-dropped", "cases-reordered", "case-not-object", "cases-not-list",
+        ],
+    )
+    def test_edited_record_does_not_replay(self, record14, edit):
+        record = copy.deepcopy(record14)
+        edit(record)
+        assert not replays(14, DEFAULT_PRIME, 0, record)
+
+    @pytest.mark.parametrize("result", [None, [], {}, "record"])
+    def test_non_record_does_not_replay(self, result):
+        assert not replays(14, DEFAULT_PRIME, 0, result)
