@@ -4,6 +4,7 @@ __version__ = "0.1.0"
 
 from .extalg import Multivector, pairing_matrix, parse_tensor, wedge, wedge_vectors
 from .fieldcore import DEFAULT_PRIME, SECOND_PRIME, rank_mod_p
+from .gr26 import degree7_invariant
 from .terracini import SecantProblem, SpanVerdict, Verdict, expected_affine_dim, probe
 
 __all__ = [
@@ -13,6 +14,7 @@ __all__ = [
     "SecantProblem",
     "SpanVerdict",
     "Verdict",
+    "degree7_invariant",
     "expected_affine_dim",
     "pairing_matrix",
     "parse_tensor",

@@ -99,14 +99,21 @@ def _run_cached(config: RunConfig, command: str, parameters: dict, prime: int, c
     return record
 
 
-def _probe_record(config: RunConfig, k: int, n: int, s: int, prime: int, strategy: str) -> dict:
-    problem = SecantProblem(k=k, n=n, s=s, prime=prime, seed=config.seed, trials=config.trials)
-    parameters = {"k": k, "n": n, "s": s, "strategy": strategy, "trials": config.trials}
+def _problem(config: RunConfig, k: int, n: int, s: int, prime: int) -> SecantProblem:
+    """The probe problem asked for; a problem SecantProblem refuses, such as one too large, is a usage error."""
+    try:
+        return SecantProblem(k=k, n=n, s=s, prime=prime, seed=config.seed, trials=config.trials)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+
+
+def _probe_record(config: RunConfig, problem: SecantProblem, strategy: str) -> dict:
+    parameters = {"k": problem.k, "n": problem.n, "s": problem.s, "strategy": strategy, "trials": config.trials}
     return _run_cached(
         config,
         "probe",
         parameters,
-        prime,
+        problem.prime,
         lambda: probe(problem, strategy=strategy).to_record(),
         lambda record: replays(problem, record.get("result")),
     )
@@ -162,7 +169,7 @@ def check(config: RunConfig, k: int, n: int, s: int, strategy: str):
         raise click.UsageError(f"need k >= 1, n > k, s >= 1; got k={k}, n={n}, s={s}")
     try:
         for prime in config.primes:
-            record = _probe_record(config, k, n, s, prime, strategy)
+            record = _probe_record(config, _problem(config, k, n, s, prime), strategy)
             r = record["result"]
             human = (
                 f"Gr({k},{n}) s={s} p={prime}: {r['verdict']} "
@@ -184,7 +191,7 @@ def conjecture_table(config: RunConfig):
         click.echo(header)
     for label, k, n, s, known_actual, known_expected in CONJECTURE_ROWS:
         for prime in config.primes:
-            record = _probe_record(config, k, n, s, prime, "random")
+            record = _probe_record(config, _problem(config, k, n, s, prime), "random")
             r = record["result"]
             actual_codim = r["ambient"] - r["achieved"]
             expected_codim = r["ambient"] - r["expected"]
@@ -224,11 +231,13 @@ def scan(config: RunConfig, k: int, n_from: int, n_to: int, s_from: int | None, 
         raise click.UsageError("--s-from and --s-to must both be given, with s-from <= s-to")
     if not explicit and (k != 2 or n_from < 9):
         raise click.UsageError("default thresholds exist only for k=2 and n >= 9; give --s-from/--s-to")
+    # A probe's size grows with n and s, so if the last problem fits, all do.
+    _problem(config, k, n_to, s_to if explicit else max(induction.s1(n_to), induction.s2(n_to)), config.primes[0])
     for n in range(n_from, n_to + 1):
-        svals = list(range(s_from, s_to + 1)) if explicit else [induction.s1(n), induction.s2(n)]
-        for s in sorted(set(svals)):
+        svals = range(s_from, s_to + 1) if explicit else sorted({induction.s1(n), induction.s2(n)})
+        for s in svals:
             for prime in config.primes:
-                record = _probe_record(config, k, n, s, prime, "auto")
+                record = _probe_record(config, _problem(config, k, n, s, prime), "auto")
                 r = record["result"]
                 verdict = Verdict(r["verdict"])
                 note = ""

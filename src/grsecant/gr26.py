@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .extalg import PAIRING_SIZE, Multivector, pairing_matrix, wedge_vectors
-from .fieldcore import DEFAULT_PRIME, det_exact, integer_cube_root_signed, rank_exact, rank_mod_p
+from .extalg import Multivector, pairing_matrix, wedge_vectors
+from .fieldcore import DEFAULT_PRIME, det_exact, integer_cube_root_signed, rank_det_exact, rank_exact, rank_mod_p
 from .grassmann import GrassPoint, pluecker, tangent_space_dim
 from .terracini import tangent_stack
 
@@ -60,16 +60,19 @@ def five_term_identity(a135: int, a147: int, a126: int, a234: int, a567: int) ->
     return det, predicted
 
 
+def _half_cube_root(det: int) -> int:
+    if det % 2 != 0:
+        raise ValueError(f"pairing determinant {det} is odd; this cannot happen")
+    return integer_cube_root_signed(det // 2)
+
+
 def degree7_invariant(omega: Multivector) -> int:
     """Exact value of the degree-7 invariant: the signed cube root of det/2.
 
     The pairing determinant of an integral tensor is always twice a perfect
     cube; an odd determinant or a failed root extraction indicates a bug.
     """
-    det = det_exact(pairing_matrix(omega))
-    if det % 2 != 0:
-        raise ValueError(f"pairing determinant {det} is odd; this cannot happen")
-    return integer_cube_root_signed(det // 2)
+    return _half_cube_root(det_exact(pairing_matrix(omega)))
 
 
 @dataclass
@@ -89,13 +92,12 @@ class MembershipReport:
 def classify(omega: Multivector, p: int = DEFAULT_PRIME) -> MembershipReport:
     """Exact pairing rank, the three membership flags, and the invariant.
 
-    The invariant is computed once, exactly; `invariant_mod_p` is its
-    residue mod p, so any prime is accepted.  The determinant is 2 inv^3,
-    so the pairing has full rank exactly when inv is nonzero, and only a
-    singular pairing is eliminated a second time for its rank.
+    The rank and the determinant come from one exact elimination of the
+    pairing, and the invariant is the cube root of half the determinant;
+    `invariant_mod_p` is its residue mod p, so any prime is accepted.
     """
-    inv = degree7_invariant(omega)
-    rank = PAIRING_SIZE if inv else rank_exact(pairing_matrix(omega))
+    rank, det = rank_det_exact(pairing_matrix(omega))
+    inv = _half_cube_root(det)
     return MembershipReport(
         rank=rank,
         in_grassmannian=rank <= RANK_GRASSMANNIAN,

@@ -1,11 +1,14 @@
 """Counting formulas and the 6-step induction certificate for Gr(2,n) secants.
 
-Formula evaluation goes through exact rationals with the floor or ceiling
-applied last; floating point never touches a threshold.  The base-case
-checks place constrained random points against coordinate-subspace spans and
-compare exact GF(p) ranks with the predicted targets.  Everything in a
-certificate's record but those ranks follows from the formulas, which is how
-`replays` checks a cached record without computing a rank.
+Formula evaluation is exact and floating point never touches a threshold.
+The formulas the certificate uses are integer closed forms, one numerator
+over a common denominator, floored by integer division (a ceiling is
+-(-a // b)); the paper's rational forms are kept where they are reported.
+The base-case checks place constrained random points against
+coordinate-subspace spans and compare exact GF(p) ranks with the predicted
+targets.  Everything in a certificate's record but those ranks follows from
+the formulas, which is how `replays` checks a cached record without
+computing a rank.
 """
 
 from __future__ import annotations
@@ -41,25 +44,25 @@ def ambient(n: int) -> int:
 
 
 def f1(n: int) -> int:
+    """floor(n^2/18 - 31n/54 + 125/81 - n/6 + 2)."""
     _require(n)
-    return math.floor(
-        Fraction(n * n, 18) - Fraction(31 * n, 54) + Fraction(125, 81) - Fraction(n, 6) + 2
-    )
+    return (9 * n * n - 120 * n + 574) // 162
 
 
 def f2(n: int) -> int:
+    """ceil(n^2/18 - 31n/54 + 125/81 + n/6 - 1)."""
     _require(n)
-    return math.ceil(
-        Fraction(n * n, 18) - Fraction(31 * n, 54) + Fraction(125, 81) + Fraction(n, 6) - 1
-    )
+    return -(-(9 * n * n - 66 * n + 88) // 162)
 
 
 def points_kept_floor(n: int) -> int:
-    return math.floor(Fraction(6 * n - 13, 9))
+    """floor((6n-13)/9)."""
+    return (6 * n - 13) // 9
 
 
 def points_kept_ceil(n: int) -> int:
-    return math.ceil(Fraction(6 * n - 13, 9))
+    """ceil((6n-13)/9)."""
+    return -(-(6 * n - 13) // 9)
 
 
 def s1(n: int) -> int:
@@ -75,7 +78,7 @@ def s1(n: int) -> int:
 def s2(n: int) -> int:
     """Smallest s certified to fill: ceil(n^2/18 + 7n/27 - 73/81)."""
     _require(n)
-    return math.ceil(Fraction(n * n, 18) + Fraction(7 * n, 27) - Fraction(73, 81))
+    return -(-(9 * n * n + 42 * n - 146) // 162)
 
 
 def s2_intro(n: int) -> int:
@@ -125,8 +128,7 @@ def chain_inequalities(n: int) -> dict[str, bool]:
     """The four arithmetic inequalities driving the step from n-6 to n."""
     if n < 15:
         raise ValueError("chain inequalities start at n = 15")
-    kf = math.floor(Fraction(6 * n - 49, 9))
-    kc = math.ceil(Fraction(6 * n - 49, 9))
+    kf, kc = points_kept_floor(n - 6), points_kept_ceil(n - 6)  # (6n-49)/9
     return {
         "f1_step": f1(n) - kf <= f1(n - 6),
         "f2_step": f2(n - 6) <= f2(n) - kc,
@@ -180,8 +182,7 @@ def _plan(prop: str, n: int, variant: str | None) -> tuple[int, dict]:
     if prop == "a":
         return ambient(n), {}
     if prop == "b":
-        frac = Fraction(6 * n - 49, 9)
-        s = math.floor(frac) if variant == "floor" else math.ceil(frac)
+        s = points_kept_floor(n - 6) if variant == "floor" else points_kept_ceil(n - 6)  # (6n-49)/9
         missing = 36 * (n - 6) - 36 * s - 4 * (3 * n - 5) if variant == "floor" else 0
         return ambient(n) - missing, {"points_per_span": s}
     if prop == "c":

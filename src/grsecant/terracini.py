@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import codes
-from .fieldcore import DEFAULT_PRIME, rank_mod_p, validate_prime
+from .fieldcore import BLOCK_ROWS, DEFAULT_PRIME, rank_mod_p, validate_prime
 from .grassmann import (
     CoordinateSubspace,
     GrassPoint,
@@ -42,6 +42,11 @@ DEFAULT_TRIALS = 3
 # Beyond this many ambient coordinates the greedy certificate search is
 # pointless overhead next to the rank computation itself.
 AUTO_CERTIFICATE_AMBIENT_LIMIT = 200_000
+
+# Most 8-byte entries (1 GiB) a probe may hold at once; larger problems are
+# refused before any table or stack is built.  Gr(2,30) at s2(30) = 57
+# needs about 64 M (_probe_entries).
+MAX_PROBE_ENTRIES = 2**27
 
 
 class CertificateUnavailable(RuntimeError):
@@ -77,6 +82,27 @@ def expected_affine_dim(k: int, n: int, s: int) -> int:
     return min(s * tangent_space_dim(k, n), math.comb(n + 1, k + 1))
 
 
+def _probe_entries(k: int, n: int, rows: int) -> int:
+    """Upper bound on the 8-byte entries a probe with `rows` stack rows holds.
+
+    That is the int64 minor tables of every size t <= k+1 (the subset and
+    drop tables, the expansion's products and frame_rows' signed minors,
+    4 t C(n+1, t) entries in all) and, in float64, the stack, the rows the
+    rank kernel keeps once unit rows are counted, its basis E and its
+    scratch.  The count stops as soon as the tables pass MAX_PROBE_ENTRIES,
+    so a huge problem costs no huge binomial.
+    """
+    dim = n + 1
+    tables = 0
+    c = 1
+    for t in range(1, k + 2):
+        c = c * (dim - t + 1) // t  # C(dim, t)
+        tables += 4 * t * c
+        if tables > MAX_PROBE_ENTRIES:
+            return tables
+    return tables + (2 * rows + min(rows, c) + 2 * BLOCK_ROWS) * c
+
+
 @dataclass(frozen=True)
 class SecantProblem:
     k: int
@@ -99,6 +125,13 @@ class SecantProblem:
         for sub in list(self.point_constraints or ()) + list(self.extra_spans):
             if sub is not None and sub.n != self.n:
                 raise ValueError("constraint subspace lives in the wrong space")
+        rows = self.s * tangent_space_dim(self.k, self.n)
+        rows += sum(math.comb(len(span.support), self.k + 1) for span in self.extra_spans)
+        if _probe_entries(self.k, self.n, rows) > MAX_PROBE_ENTRIES:
+            raise ValueError(
+                f"problem ({self.k}, {self.n}, {self.s}) too large: a probe would hold more than "
+                f"MAX_PROBE_ENTRIES = {MAX_PROBE_ENTRIES} eight-byte entries"
+            )
 
     @property
     def ambient(self) -> int:

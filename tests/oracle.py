@@ -17,6 +17,9 @@ index sets of the tangent space at a coordinate point), `subset_unrank`,
 `apply_linear_map`, `random_unimodular` and `format_tensor` on the exterior
 algebra, `is_symmetric` on the pairing matrix, `random_tensor` for Gr(2,6),
 and `s1_intro`, the paper's two-floor closed form of `induction.s1`.
+`induction_formulas_reference` evaluates the paper's rational forms of
+`f1`, `f2`, `points_kept_floor`, `points_kept_ceil`, `s1` and `s2` with
+`Fraction`, which `induction`'s integer closed forms replaced.
 """
 
 import json
@@ -238,6 +241,21 @@ def s1_intro(n: int) -> int:
     """Two-floor closed form; identical to s1 (the floor arguments are equal)."""
     _require(n)
     return math.floor(Fraction(n * n, 18) - Fraction(20 * n, 27) + Fraction(287, 81)) + points_kept_floor(n)
+
+
+def induction_formulas_reference(n: int) -> dict[str, int]:
+    """The induction's counting formulas from exact rationals, floor or ceiling last."""
+    base = Fraction(n * n, 18) - Fraction(31 * n, 54) + Fraction(125, 81)
+    f1 = math.floor(base - Fraction(n, 6) + 2)
+    kept = Fraction(6 * n - 13, 9)
+    return {
+        "f1": f1,
+        "f2": math.ceil(base + Fraction(n, 6) - 1),
+        "points_kept_floor": math.floor(kept),
+        "points_kept_ceil": math.ceil(kept),
+        "s1": f1 + math.floor(kept),
+        "s2": math.ceil(Fraction(n * n, 18) + Fraction(7 * n, 27) - Fraction(73, 81)),
+    }
 
 
 def cache_index_reference(data: bytes) -> tuple[dict[str, list[bytes]], int]:

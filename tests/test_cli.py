@@ -46,6 +46,29 @@ class TestCheck:
         result = invoke(runner, tmp_path, "check", "-k", "0", "-n", "6", "-s", "3")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [["check", "-k", "10", "-n", "30", "-s", "1"], ["scan", "-k", "2", "--n-from", "9", "--n-to", "100"]],
+        ids=["check", "scan"],
+    )
+    def test_oversized_problem_is_usage_error(self, tmp_path, args):
+        # Ambient C(31, 11) = 84 672 315 for check, and Gr(2,100) at s2 for
+        # scan.  Run under a 1 GiB address-space limit, so that a probe which
+        # did start would fail at once instead of filling memory.
+        script = (
+            "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+            "from grsecant.cli import main; main()"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cache_module.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+        result = subprocess.run(
+            [sys.executable, "-c", script, "--cache-dir", str(tmp_path / "cache"), *args],
+            capture_output=True, env=env, text=True, timeout=120,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "too large" in result.stderr and "MAX_PROBE_ENTRIES" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_bad_prime(self, runner, tmp_path):
         result = runner.invoke(main, ["--prime", "32001", "check", "-k", "2", "-n", "6", "-s", "3"])
         assert result.exit_code == 2

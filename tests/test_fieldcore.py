@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grsecant import fieldcore
 from grsecant.fieldcore import (
     BLOCK_ROWS,
     DEFAULT_PRIME,
@@ -18,6 +19,7 @@ from grsecant.fieldcore import (
     rank_mod_p,
     validate_prime,
 )
+from grsecant.grassmann import tangent_space_dim
 from grsecant.terracini import SecantProblem, Verdict, probe
 from oracle import rank_mod_p_reference
 
@@ -206,6 +208,109 @@ class TestEchelonKernel:
         v = probe(SecantProblem(k=k, n=n, s=s, prime=MAX_PRIME))
         assert v.verdict is Verdict.INCONCLUSIVE_DEFICIT
         assert (v.achieved_rank, v.expected_rank) == (achieved, expected)
+
+
+def _unit_mix(rng, m, n, p):
+    """Signed unit rows, some on the same column; single entries p, 2p or -p;
+    zero rows; rows with two nonzeros, which turn into unit rows once a
+    unit row's column is deleted; and a few dense rows."""
+    A = np.zeros((m, n), dtype=np.int64)
+    rows, cols = np.arange(m), rng.integers(0, n, size=m)
+    kind = rng.integers(0, 6, size=m)
+    units = rng.integers(1, p, size=m)
+    A[rows, cols] = np.where(kind == 0, units, np.where(kind == 1, -units, 0))
+    A[rows, cols] += np.where(kind == 2, rng.choice([p, 2 * p, -p], size=m), 0)
+    pair = kind == 4
+    A[pair, cols[pair]] = units[pair]
+    A[pair, (cols[pair] + 1 + rng.integers(0, n - 1, size=int(pair.sum()))) % n] = p - units[pair]
+    dense = kind == 5
+    A[dense] = rng.integers(-p, p, size=(int(dense.sum()), n)) * (rng.random((int(dense.sum()), n)) < 0.5)
+    return A
+
+
+def _staircase(n, p):
+    """Row 0 a unit row, row i a unit on column i plus -1 on column i-1: each
+    row becomes a unit row only after the previous row's column is deleted."""
+    A = np.zeros((n, n), dtype=np.int64)
+    A[np.arange(n), np.arange(n)] = np.arange(1, n + 1) % (p - 1) + 1
+    A[np.arange(1, n), np.arange(n - 1)] = -1
+    return A
+
+
+def _all_units(rng, m, n, p):
+    A = np.zeros((m, n), dtype=np.int64)
+    A[np.arange(m), rng.integers(0, n, size=m)] = rng.choice([-1, 1], size=m) * rng.integers(1, p, size=m)
+    return A
+
+
+def _as_dtype(A, dtype, p):
+    """A as int64, float64 or Python big integers (multiples of p added)."""
+    if dtype == "object":
+        return A.astype(object) + (A != 0).astype(object) * (p * 10**25)
+    return A.astype(dtype)
+
+
+def _refuse_elimination(*args):
+    raise AssertionError("rows the prelude ranks by counting reached the elimination kernel")
+
+
+class TestUnitRowPrelude:
+    """The unit-row prelude of rank_mod_p against the column-loop oracle."""
+
+    @pytest.mark.parametrize("p", [DEFAULT_PRIME, MAX_PRIME])
+    @pytest.mark.parametrize("dtype", ["int64", "float64", "object"])
+    @pytest.mark.parametrize("shape", [(60, 40), (40, 60), (2 * BLOCK_ROWS + 7, 30)], ids=["tall", "wide", "blocks"])
+    def test_mixed_rows_match_oracle(self, p, dtype, shape):
+        rng = np.random.default_rng([p, *shape])
+        for _ in range(4):
+            A = _as_dtype(_unit_mix(rng, *shape, p), dtype, p)
+            assert rank_mod_p(A, p) == rank_mod_p_reference(A, p)
+
+    @pytest.mark.parametrize("p", [DEFAULT_PRIME, MAX_PRIME])
+    @pytest.mark.parametrize("dtype", ["int64", "float64", "object"])
+    def test_rows_unit_after_deletion(self, monkeypatch, p, dtype):
+        n = 30
+        A = _staircase(n, p)
+        with monkeypatch.context() as patch:
+            # Peeled one unit row at a time, with no elimination.
+            patch.setattr(fieldcore, "_eliminate_block", _refuse_elimination)
+            assert rank_mod_p(_as_dtype(A, dtype, p), p) == rank_mod_p_reference(A, p) == n
+        # Without its unit row the staircase has no unit row at all; with a
+        # row that repeats the sum of the others it stays rank n - 1.
+        tail = np.vstack([A[1:], A[1:].sum(axis=0)])
+        assert rank_mod_p(_as_dtype(tail, dtype, p), p) == rank_mod_p_reference(tail, p) == n - 1
+
+    @pytest.mark.parametrize("p", [DEFAULT_PRIME, MAX_PRIME])
+    @pytest.mark.parametrize("dtype", ["int64", "float64", "object"])
+    def test_negative_and_zero_mod_p_single_entries(self, p, dtype):
+        A = np.array([[0, -3, 0, 0], [p, 0, 0, 0], [0, 0, -p, 0], [0, 0, 0, 2 * p], [0, 0, 0, 0], [0, 5, 0, 0]])
+        assert rank_mod_p(_as_dtype(A, dtype, p), p) == rank_mod_p_reference(A, p) == 1
+        A[1, 2] = 1  # [p, 0, 1, 0] has two raw nonzeros but one mod p
+        assert rank_mod_p(_as_dtype(A, dtype, p), p) == rank_mod_p_reference(A, p) == 2
+
+    @pytest.mark.parametrize("p", [DEFAULT_PRIME, MAX_PRIME])
+    @pytest.mark.parametrize("dtype", ["int64", "float64", "object"])
+    def test_all_unit_stack_is_never_eliminated(self, monkeypatch, p, dtype):
+        monkeypatch.setattr(fieldcore, "_eliminate_block", _refuse_elimination)
+        rng = np.random.default_rng(p)
+        for shape in [(80, 50), (50, 80), (200, 200)]:
+            A = _all_units(rng, *shape, p)
+            A[::7] = 0
+            A[3::11] = 0
+            A[3::11, 0] = p
+            assert rank_mod_p(_as_dtype(A, dtype, p), p) == rank_mod_p_reference(A, p)
+
+    @pytest.mark.parametrize("p", [DEFAULT_PRIME, MAX_PRIME])
+    def test_monomial_probe_is_never_eliminated(self, monkeypatch, p):
+        # Coordinate points have coordinate tangent spaces: all unit rows.
+        monkeypatch.setattr(fieldcore, "_eliminate_block", _refuse_elimination)
+        v = probe(SecantProblem(k=2, n=12, s=4, prime=p), strategy="monomial")
+        assert v.achieved_rank == v.expected_rank == 4 * tangent_space_dim(2, 12)
+
+    def test_input_without_unit_rows_is_not_copied(self):
+        A = np.arange(1.0, 13.0).reshape(3, 4)
+        count, rest = fieldcore._unit_pivots(A, 7)
+        assert count == 0 and rest is A
 
 
 class TestDetExact:

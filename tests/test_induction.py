@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from oracle import s1_intro
+from oracle import induction_formulas_reference, s1_intro
 
 from grsecant import induction
 from grsecant.fieldcore import DEFAULT_PRIME, SECOND_PRIME
@@ -35,6 +35,11 @@ class TestFormulas:
         assert s1(9) == 5
         assert s2(9) == 6
         assert s1_intro(9) == math.floor(Fraction(81, 18) - Fraction(180, 27) + Fraction(287, 81)) + 4 == 5
+
+    def test_integer_forms_match_rationals(self):
+        names = ("f1", "f2", "points_kept_floor", "points_kept_ceil", "s1", "s2")
+        for n in range(9, 10_001):
+            assert {name: getattr(induction, name)(n) for name in names} == induction_formulas_reference(n), n
 
     def test_split_and_intro_forms_identical(self):
         for n in range(9, 2000):

@@ -39,6 +39,32 @@ class TestExpectedDim:
             expected_affine_dim(2, 2, 1)
 
 
+class TestProblemSize:
+    def test_large_supported_problems_admitted(self):
+        # Construction only: Gr(2,30) at s2(30) = 57 and the largest benchmark probes.
+        for k, n, s in [(2, 30, 57), (2, 24, 38), (2, 20, 27), (4, 14, 6)]:
+            SecantProblem(k, n, s)
+        L = CoordinateSubspace(30, tuple(range(6, 31)))
+        SecantProblem(2, 30, 20, point_constraints=(L,) * 20, extra_spans=(L,))
+
+    @pytest.mark.parametrize(
+        "k, n, s",
+        [(10, 30, 1), (4, 30, 40), (28, 30, 1), (1, 10**9, 1), (10**6, 10**9, 1), (2, 30, 10**12)],
+        ids=["ambient", "stack", "minor-tables", "huge-n", "huge-k", "huge-s"],
+    )
+    def test_oversized_problem_refused_before_allocating(self, k, n, s):
+        with pytest.raises(ValueError, match="MAX_PROBE_ENTRIES"):
+            SecantProblem(k, n, s)
+
+    def test_extra_span_rows_count(self):
+        # Stacked span rows count toward the bound: the probe alone fits,
+        # but not with the span basis of all of Gr(4,30) on top.
+        full = CoordinateSubspace(30, tuple(range(31)))
+        SecantProblem(4, 30, 1)
+        with pytest.raises(ValueError, match="MAX_PROBE_ENTRIES"):
+            SecantProblem(4, 30, 1, point_constraints=(full,), extra_spans=(full,))
+
+
 class TestProbe:
     def test_defective_gr26(self):
         v = probe(SecantProblem(2, 6, 3, seed=0))
