@@ -52,6 +52,11 @@ _FIXED[_KEY] = False
 _SHORTEST = _TEMPLATE.size + 2
 # Marks an indexed line already tried; no ASCII key equals it.
 _TRIED = b"\xff"
+# Bytes searched for newlines at once.  A file-sized boolean temporary
+# would double the load's peak memory; freeing it can push the allocator
+# over its trim threshold, so that every later load in the same process
+# faults its pages in again.
+_NEWLINE_CHUNK = 1 << 18
 
 
 def default_cache_dir() -> Path:
@@ -105,7 +110,8 @@ class ResultCache:
             return
         data = self._data = self.path.read_bytes() if self.path.exists() else b""
         a = np.frombuffer(data, np.uint8)
-        newlines = np.flatnonzero(a == ord("\n"))
+        chunks = range(0, max(a.size, 1), _NEWLINE_CHUNK)
+        newlines = np.concatenate([np.flatnonzero(a[lo : lo + _NEWLINE_CHUNK] == ord("\n")) + lo for lo in chunks])
         starts = np.concatenate(([0], newlines + 1))
         ends = np.concatenate((newlines, [a.size]))
         keys = np.zeros(starts.size, "S64")

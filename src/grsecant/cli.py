@@ -19,7 +19,7 @@ import click
 
 from . import __version__, induction
 from .cache import ResultCache, cache_key
-from .codes import graham_sloane_bounds, lexicode_greedy
+from .codes import MAX_LEXICODE_SUPPORTS, graham_sloane_bounds, lexicode_greedy, lexicode_supports
 from .extalg import parse_tensor
 from .fieldcore import DEFAULT_PRIME, KERNEL, validate_prime
 from .gr26 import classify, demo_gr28, demo_gr37, figure1_table, five_term_identity
@@ -343,6 +343,11 @@ def codes_cmd(config: RunConfig, length: int, weight: int, distance: int):
         raise click.UsageError("need 1 <= w <= n")
     if distance % 2 != 0 or distance < 2:
         raise click.UsageError("distance must be a positive even integer")
+    if lexicode_supports(length, weight) > MAX_LEXICODE_SUPPORTS:
+        raise click.UsageError(
+            f"C({length}, {weight}) supports exceed MAX_LEXICODE_SUPPORTS = {MAX_LEXICODE_SUPPORTS}; "
+            "the greedy scan would not finish in bounded time"
+        )
     code = lexicode_greedy(length, weight, distance)
     result: dict = {"length": length, "weight": weight, "distance": distance, "size": len(code),
                     "words": [list(w) for w in code.words]}

@@ -14,6 +14,12 @@ from typing import NamedTuple
 
 from .extalg import subsets_colex
 
+# Most weight-w supports the greedy lexicode may scan.  Its time grows with
+# the supports times the words kept; at distance 2 every support is kept, and
+# the largest accepted scans (C(14,7) = 3432, C(30,3) = 4060 supports) take
+# 6-8 s on a 2-vCPU x86_64 host (Python 3.11); at distance 6 they take 0.03 s.
+MAX_LEXICODE_SUPPORTS = 4096
+
 
 @dataclass(frozen=True)
 class CodeSet:
@@ -74,6 +80,20 @@ def lexicode_greedy(length: int, weight: int, min_distance: int = 6) -> CodeSet:
             kept.append(cand)
             kept_sets.append(cs)
     return CodeSet(length, weight, tuple(kept), min_distance)
+
+
+def lexicode_supports(length: int, weight: int) -> int:
+    """C(length, weight), or the first partial binomial above MAX_LEXICODE_SUPPORTS.
+
+    C(length, t) grows with t up to length/2, so once it passes the bound the
+    count does too; a huge count costs no huge binomial.
+    """
+    c = 1
+    for t in range(1, min(weight, length - weight) + 1):
+        c = c * (length - t + 1) // t
+        if c > MAX_LEXICODE_SUPPORTS:
+            break
+    return c
 
 
 def _is_prime_power(m: int) -> bool:

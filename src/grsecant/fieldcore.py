@@ -1,13 +1,6 @@
 """Exact arithmetic substrate: GF(p) ranks; integer ranks, determinants and cube roots.
 
-GF(p) ranks start by counting: a row with a single nonzero entry, a unit
-mod p, is a pivot at its column, and deleting that column from the other
-rows is the Schur complement against it (structural pivots, as in the
-structured Gaussian elimination of LaMacchia and Odlyzko).  Coordinate
-points and coordinate spans give stacks made mostly or wholly of such
-rows.  What is left goes to one blocked elimination kernel.
-
-The kernel computes ranks only, in float64, which represents every
+GF(p) elimination computes ranks only, in float64, which represents every
 integer of magnitude at most 2**53 exactly.  Every product the kernel
 forms is of two entries reduced into [0, p), and no value takes more than
 GEMM_DEPTH such products between two reductions: the forward substitution
@@ -195,66 +188,23 @@ def _eliminate_block(B: np.ndarray, E: np.ndarray, r: int, p: int, work: np.ndar
     return found
 
 
-def _unit_pivots(A: np.ndarray, p: int) -> tuple[int, np.ndarray]:
-    """Pivots given by signed unit rows, and the rows left for elimination.
-
-    A row whose one nonzero entry is a unit mod p is a pivot at that column,
-    and deleting the column from every other row is the Schur complement
-    against it, exact over every field.  So the rank of A is the number of
-    distinct such columns plus the rank of the rows with two or more nonzero
-    entries, those columns deleted.  Deleting columns can leave new unit
-    rows, so this repeats until none is left.  Rows are classified on the
-    raw entries, BLOCK_ROWS rows at a time, never on a reduced copy of A; a
-    single entry divisible by p makes a zero row.  Without a unit row, A
-    itself is returned.
-    """
-    count = 0
-    while A.size:
-        nnz = np.empty(len(A), dtype=np.intp)
-        first = np.empty(len(A), dtype=np.intp)
-        for lo in range(0, len(A), BLOCK_ROWS):
-            nz = A[lo : lo + BLOCK_ROWS] != 0
-            nnz[lo : lo + BLOCK_ROWS] = np.count_nonzero(nz, axis=1)
-            first[lo : lo + BLOCK_ROWS] = nz.argmax(axis=1)
-        one = (nnz == 1).nonzero()[0]
-        if one.size == 0:
-            break
-        cols = first[one]
-        cols = np.unique(cols[A[one, cols] % p != 0])
-        count += cols.size
-        keep = np.ones(A.shape[1], dtype=bool)
-        keep[cols] = False
-        A = A[np.ix_(nnz > 1, keep)]
-    return count, A
-
-
 def rank_mod_p(mat, p: int = DEFAULT_PRIME) -> int:
     """Rank of an integer matrix over GF(p), for 1 < p <= MAX_PRIME.
 
-    Signed unit rows are counted first (_unit_pivots): each distinct column
-    holding the single nonzero entry of some row, that entry a unit mod p,
-    adds one to the rank and is deleted, until no unit row is left.  A stack
-    of unit rows only is ranked with no elimination at all.
-
-    The rows left go through a blocked incremental echelon form: the basis E
-    grows one block of BLOCK_ROWS input rows at a time.  The block is
-    cleared of E's pivot columns (_forward), eliminated internally
-    (_eliminate_block), and its independent rows are appended to E as a new
-    block.  Nothing is back-substituted, so E is block triangular: each
-    block is the identity on its own pivot columns and zero on those of
-    earlier blocks.  E and the scratch space are allocated once.  Apart from
-    them and the rows left once unit rows are deleted, which the prelude
-    copies, every temporary has at most BLOCK_ROWS rows or one entry per
-    row.
+    Blocked incremental echelon form: the basis E grows one block of
+    BLOCK_ROWS input rows at a time.  The block is cleared of E's pivot
+    columns (_forward), eliminated internally (_eliminate_block), and its
+    independent rows are appended to E as a new block.  Nothing is
+    back-substituted, so E is block triangular: each block is the identity
+    on its own pivot columns and zero on those of earlier blocks.  E and the
+    scratch space are allocated once, and every other temporary has at most
+    BLOCK_ROWS rows.
     """
     if not 1 < p <= MAX_PRIME:
         raise ValueError(f"modulus {p} outside (1, MAX_PRIME={MAX_PRIME}]; float64 elimination would not be exact")
     A = np.asarray(mat)
     if A.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    units, A = _unit_pivots(A, p)
-    if not A.size:
-        return units
     m, n = A.shape
     E = np.empty((min(m, n), n))
     pivots = np.empty(min(m, n), dtype=np.intp)
@@ -272,7 +222,7 @@ def rank_mod_p(mat, p: int = DEFAULT_PRIME) -> int:
         blocks.append((r, r + len(found)))
         pivots[r : r + len(found)] = found
         r += len(found)
-    return units + r
+    return r
 
 
 def _int_rows(mat) -> list[list[int]]:

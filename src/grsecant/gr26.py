@@ -208,7 +208,7 @@ def _span_check(points: list[GrassPoint], images: list[Multivector], p: int) -> 
     equals the stack's rank without them.
     """
     rows = np.array([img.dense(p) for img in images])
-    return rank_mod_p(rows, p), rank_mod_p(tangent_stack(points, p, [rows]), p)
+    return rank_mod_p(rows, p), rank_mod_p(np.vstack([rows, tangent_stack(points, p)]), p)
 
 
 def _tangent_span_demo(name: str, want: int, variety: str, anchors, samples, sample_noun: str, p: int) -> DemoReport:

@@ -7,7 +7,8 @@ row with one basis vector; its dimension is (k+1)(n-k)+1.  frame_rows
 writes a basis of it (the Plücker row and the generators off one nonzero
 Plücker coordinate) into float64 rows, from maximal minors computed by
 row-by-row Laplace expansion.  Every point it is handed must have full
-rank mod p, as the sampled, coordinate and demo points do.
+rank mod p, as the sampled and demo points do.  A coordinate span is
+given by the Plücker coordinates it contains (span_columns), not by rows.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .extalg import Multivector, subset_rank, subsets_colex, wedge_vectors
+from .extalg import Multivector, subsets_colex, wedge_vectors
 from .fieldcore import DEFAULT_PRIME, rank_exact, rank_mod_p
 
 MAX_SAMPLE_ATTEMPTS = 8
@@ -63,17 +64,6 @@ class GrassPoint:
             raise ValueError(f"row matrix must be {self.k + 1}x{self.n + 1}")
         if rank_exact(self.rows) != self.k + 1:
             raise ValueError("row matrix is rank deficient")
-
-
-def coordinate_point(k: int, n: int, indices: Sequence[int]) -> GrassPoint:
-    """The point spanned by the basis vectors named in `indices`."""
-    idx = tuple(sorted(indices))
-    if len(idx) != k + 1:
-        raise ValueError(f"need {k + 1} indices")
-    rows = np.zeros((k + 1, n + 1), dtype=np.int64)
-    for r, i in enumerate(idx):
-        rows[r, i] = 1
-    return GrassPoint(k, n, rows)
 
 
 def pluecker(pt: GrassPoint) -> Multivector:
@@ -204,17 +194,14 @@ def random_point(
     raise RankDrop(f"no full-rank point after {MAX_SAMPLE_ATTEMPTS} attempts")
 
 
-def subgrassmannian_span(L: CoordinateSubspace, d: int) -> list[tuple[int, ...]]:
-    """Colex-ordered basis (as index sets) of degree-d wedges supported on L."""
-    if d > L.dim:
-        raise ValueError(f"degree {d} exceeds support size {L.dim}")
-    sup = L.support
-    return [tuple(sup[i] for i in pos) for pos in subsets_colex(L.dim, d)]
+def span_columns(spans: Sequence[CoordinateSubspace], dim: int, d: int) -> np.ndarray:
+    """Mask over the colex d-subsets of range(dim): those inside the support of some span.
 
-
-def span_unit_rows(subsets: Sequence[tuple[int, ...]], dim: int, d: int) -> np.ndarray:
-    """0/1 matrix whose rows are the unit vectors of the given basis index sets."""
-    out = np.zeros((len(subsets), math.comb(dim, d)), dtype=np.int64)
-    for r, s in enumerate(subsets):
-        out[r, subset_rank(s)] = 1
-    return out
+    The degree-d wedges on a coordinate span are spanned by the e_T with T
+    inside its support, so a span adds exactly these coordinates.
+    """
+    idx = _subset_array(dim, d)
+    mask = np.zeros(len(idx), dtype=bool)
+    for span in spans:
+        mask |= np.isin(idx, span.support).all(axis=1)
+    return mask

@@ -1,13 +1,20 @@
 """Secant-dimension probes for Gr(k,n) by stacked tangent frames over GF(p).
 
-A probe draws s random points, stacks basis rows of any requested
-coordinate spans and then a basis of the affine tangent space at each point
-(the Plücker row plus (k+1)(n-k) tangent-frame generators, written by
-grassmann.frame_rows straight into one float64 stack), and compares the
-GF(p) rank of the stack with the expected affine dimension.  Hitting the
-expectation is a valid characteristic-0 certificate by semicontinuity;
-falling short is only circumstantial evidence of a defect, so such
-verdicts are inconclusive and retried with fresh seeds.
+A probe draws s random points, stacks a basis of the affine tangent space
+at each point (the Plücker row plus (k+1)(n-k) tangent-frame generators,
+written by grassmann.frame_rows straight into one float64 stack), and
+compares the GF(p) rank of the stack with the expected affine dimension.
+Hitting the expectation is a valid characteristic-0 certificate by
+semicontinuity; falling short is only circumstantial evidence of a defect,
+so such verdicts are inconclusive and retried with fresh seeds.
+
+Coordinate structure is counted, not eliminated.  A coordinate span adds
+exactly the Plücker coordinates inside its support; against those unit
+vectors the rank is their number plus the rank of the tangent rows with
+those columns deleted (a Schur complement, exact over every field).  A
+monomial certificate (codes.monomial_certificate) names s coordinate
+points whose tangent spaces are spanned by disjoint sets of unit vectors,
+so its rank is s·((k+1)(n-k)+1) with no stack at all.
 
 The verdict is derived from the ranks in one place, `Verdict.of`.  A
 cached probe record is replayed only if `replays` rebuilds the same record
@@ -20,22 +27,12 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import codes
 from .fieldcore import BLOCK_ROWS, DEFAULT_PRIME, rank_mod_p, validate_prime
-from .grassmann import (
-    CoordinateSubspace,
-    GrassPoint,
-    coordinate_point,
-    frame_rows,
-    random_point,
-    span_unit_rows,
-    subgrassmannian_span,
-    tangent_space_dim,
-)
+from .grassmann import CoordinateSubspace, GrassPoint, frame_rows, random_point, span_columns, tangent_space_dim
 
 DEFAULT_TRIALS = 3
 
@@ -87,10 +84,11 @@ def _probe_entries(k: int, n: int, rows: int) -> int:
 
     That is the int64 minor tables of every size t <= k+1 (the subset and
     drop tables, the expansion's products and frame_rows' signed minors,
-    4 t C(n+1, t) entries in all) and, in float64, the stack, the rows the
-    rank kernel keeps once unit rows are counted, its basis E and its
-    scratch.  The count stops as soon as the tables pass MAX_PROBE_ENTRIES,
-    so a huge problem costs no huge binomial.
+    4 t C(n+1, t) entries in all) and, in float64, the tangent stack, its
+    copy without any span columns, the rank kernel's basis E and its
+    scratch.  Extra spans add no rows: their columns are counted.  The
+    count stops as soon as the tables pass MAX_PROBE_ENTRIES, so a huge
+    problem costs no huge binomial.
     """
     dim = n + 1
     tables = 0
@@ -125,9 +123,7 @@ class SecantProblem:
         for sub in list(self.point_constraints or ()) + list(self.extra_spans):
             if sub is not None and sub.n != self.n:
                 raise ValueError("constraint subspace lives in the wrong space")
-        rows = self.s * tangent_space_dim(self.k, self.n)
-        rows += sum(math.comb(len(span.support), self.k + 1) for span in self.extra_spans)
-        if _probe_entries(self.k, self.n, rows) > MAX_PROBE_ENTRIES:
+        if _probe_entries(self.k, self.n, self.s * tangent_space_dim(self.k, self.n)) > MAX_PROBE_ENTRIES:
             raise ValueError(
                 f"problem ({self.k}, {self.n}, {self.s}) too large: a probe would hold more than "
                 f"MAX_PROBE_ENTRIES = {MAX_PROBE_ENTRIES} eight-byte entries"
@@ -166,11 +162,6 @@ class SpanVerdict:
     def deficit(self) -> int:
         return self.expected_rank - self.achieved_rank
 
-    @property
-    def residual_dimension(self) -> int | None:
-        """ambient - achieved for a problem with extra spans, else None."""
-        return self.ambient - self.achieved_rank if self.problem.extra_spans else None
-
     def to_record(self) -> dict:
         rec = {
             "k": self.problem.k,
@@ -186,8 +177,6 @@ class SpanVerdict:
         }
         if self.verdict is Verdict.INCONCLUSIVE_DEFICIT:
             rec["deficit"] = self.deficit
-        if self.residual_dimension is not None:
-            rec["residual"] = self.residual_dimension
         return rec
 
 
@@ -206,49 +195,42 @@ def _sample_points(problem: SecantProblem, trial: int) -> list[GrassPoint]:
     ]
 
 
-def tangent_stack(points: list[GrassPoint], p: int, head: Sequence[np.ndarray] = ()) -> np.ndarray:
-    """The rows of `head`, then a tangent-space basis at each point, as one float64 stack mod p.
+def tangent_stack(points: list[GrassPoint], p: int) -> np.ndarray:
+    """A tangent-space basis at each point, as one float64 stack mod p.
 
     Each point writes exactly tangent_space_dim(k, n) rows, so the stack is
     allocated once at its final size and filled in order.
     """
     k, n = points[0].k, points[0].n
-    head_rows = sum(len(block) for block in head)
-    stack = np.zeros((head_rows + len(points) * tangent_space_dim(k, n), math.comb(n + 1, k + 1)))
+    stack = np.zeros((len(points) * tangent_space_dim(k, n), math.comb(n + 1, k + 1)))
     filled = 0
-    for block in head:
-        stack[filled : filled + len(block)] = block
-        filled += len(block)
     for pt in points:
         filled += len(frame_rows(pt.rows, p, stack[filled:]))
     return stack
 
 
-def _stack(problem: SecantProblem, points: list[GrassPoint]) -> np.ndarray:
-    dim, d = problem.n + 1, problem.k + 1
-    spans = [span_unit_rows(subgrassmannian_span(span, d), dim, d) for span in problem.extra_spans]
-    return tangent_stack(points, problem.prime, spans)
-
-
-def _monomial_points(problem: SecantProblem) -> list[GrassPoint] | None:
+def _has_certificate(problem: SecantProblem) -> bool:
+    """Whether a monomial certificate covers the problem's s points."""
     if problem.k < 2 or problem.point_constraints or problem.extra_spans:
-        return None
+        return False
     if problem.s * tangent_space_dim(problem.k, problem.n) > problem.ambient:
-        return None
-    cert = codes.monomial_certificate(problem.k, problem.n, problem.s)
-    if cert is None:
-        return None
-    return [coordinate_point(problem.k, problem.n, w) for w in cert.words[: problem.s]]
+        return False
+    return codes.monomial_certificate(problem.k, problem.n, problem.s) is not None
 
 
 def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | None = None) -> SpanVerdict:
     """Run the prober; `strategy` is one of random, monomial, auto.
 
+    Under monomial, and under auto for an ambient dimension up to
+    AUTO_CERTIFICATE_AMBIENT_LIMIT, a monomial certificate gives the rank
+    s·((k+1)(n-k)+1) by counting, in one trial, with no point sampled.
+    Otherwise each trial ranks the tangent stack at s sampled points.
+
     A problem with extra spans is a specialization: each constrained point
-    must lie in one of the spans, and the verdict reports the residual
-    ambient - achieved, which counts the hyperplanes through the whole
-    configuration; it matches the expected residual exactly when the
-    verdict is certified.
+    must lie in one of the spans.  Each trial's rank is the number of
+    Plücker coordinates inside the spans plus the rank of the tangent stack
+    with those columns deleted, and ambient - achieved counts the
+    hyperplanes through the whole configuration.
     """
     if strategy not in ("random", "monomial", "auto"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -261,22 +243,21 @@ def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | N
     if not 0 <= expected <= ambient:
         raise ValueError(f"target rank {expected} out of range [0, {ambient}]")
 
-    fixed_points: list[GrassPoint] | None = None
-    if strategy == "monomial":
-        fixed_points = _monomial_points(problem)
-        if fixed_points is None:
+    if strategy == "monomial" or (strategy == "auto" and ambient <= AUTO_CERTIFICATE_AMBIENT_LIMIT):
+        if _has_certificate(problem):
+            return SpanVerdict(problem, problem.s * tangent_space_dim(problem.k, problem.n), expected, 1)
+        if strategy == "monomial":
             raise CertificateUnavailable(
                 f"no monomial certificate for (k={problem.k}, n={problem.n}, s={problem.s})"
             )
-    elif strategy == "auto" and problem.ambient <= AUTO_CERTIFICATE_AMBIENT_LIMIT:
-        fixed_points = _monomial_points(problem)
 
+    spanned = span_columns(problem.extra_spans, problem.n + 1, problem.k + 1)
+    counted = int(spanned.sum())
     best = 0
     trials_used = 0
-    budget = 1 if fixed_points is not None else problem.trials
-    for trial in range(budget):
-        points = fixed_points if fixed_points is not None else _sample_points(problem, trial)
-        rank = rank_mod_p(_stack(problem, points), problem.prime)
+    for trial in range(problem.trials):
+        stack = tangent_stack(_sample_points(problem, trial), problem.prime)
+        rank = counted + rank_mod_p(stack[:, ~spanned] if counted else stack, problem.prime)
         trials_used = trial + 1
         best = max(best, rank)
         if best >= expected:
@@ -314,9 +295,6 @@ class ImpliedRange:
     verdict: Verdict
     s_min: int
     s_max: int | None  # None = unbounded above
-
-    def covers(self, s: int) -> bool:
-        return self.s_min <= s and (self.s_max is None or s <= self.s_max)
 
 
 def monotone_extend(verdict: Verdict, s: int) -> ImpliedRange:

@@ -12,6 +12,11 @@ from exact wedges and checks its rank.
 line-by-line cache load and replay that `cache.ResultCache`'s vectorised
 index replaced.
 
+`coordinate_point`, `subgrassmannian_span` and `span_unit_rows` build the
+coordinate points of a monomial certificate and the unit rows of a
+coordinate span, which `terracini.probe` and `induction.check_prop_a` now
+count instead of stacking.
+
 The rest are helpers no package code calls: `monomial_tangent_basis` (the
 index sets of the tangent space at a coordinate point), `subset_unrank`,
 `apply_linear_map`, `random_unimodular` and `format_tensor` on the exterior
@@ -33,7 +38,7 @@ import numpy as np
 
 from grsecant.extalg import Multivector, subset_rank, subsets_colex, wedge_vectors
 from grsecant.fieldcore import DEFAULT_PRIME, rank_mod_p
-from grsecant.grassmann import GrassPoint, RankDrop, tangent_space_dim
+from grsecant.grassmann import CoordinateSubspace, GrassPoint, RankDrop, tangent_space_dim
 from grsecant.induction import _require, points_kept_floor
 
 
@@ -157,6 +162,33 @@ def tangent_frame(pt: GrassPoint, p: int = DEFAULT_PRIME) -> TangentFrame:
     if rank != expected:
         raise RankDrop(f"tangent frame rank {rank}, expected {expected}")
     return TangentFrame(pt, gens, rank)
+
+
+def coordinate_point(k: int, n: int, indices: Sequence[int]) -> GrassPoint:
+    """The point spanned by the basis vectors named in `indices`."""
+    idx = tuple(sorted(indices))
+    if len(idx) != k + 1:
+        raise ValueError(f"need {k + 1} indices")
+    rows = np.zeros((k + 1, n + 1), dtype=np.int64)
+    for r, i in enumerate(idx):
+        rows[r, i] = 1
+    return GrassPoint(k, n, rows)
+
+
+def subgrassmannian_span(L: CoordinateSubspace, d: int) -> list[tuple[int, ...]]:
+    """Colex-ordered basis (as index sets) of degree-d wedges supported on L."""
+    if d > L.dim:
+        raise ValueError(f"degree {d} exceeds support size {L.dim}")
+    sup = L.support
+    return [tuple(sup[i] for i in pos) for pos in subsets_colex(L.dim, d)]
+
+
+def span_unit_rows(subsets: Sequence[tuple[int, ...]], dim: int, d: int) -> np.ndarray:
+    """0/1 matrix whose rows are the unit vectors of the given basis index sets."""
+    out = np.zeros((len(subsets), math.comb(dim, d)), dtype=np.int64)
+    for r, s in enumerate(subsets):
+        out[r, subset_rank(s)] = 1
+    return out
 
 
 def monomial_tangent_basis(a: Sequence[int], k: int, n: int) -> list[tuple[int, ...]]:

@@ -9,7 +9,16 @@ import math
 import time
 
 import numpy as np
-from oracle import apply_linear_map, full_frame, is_symmetric, random_tensor, random_unimodular, s1_intro
+from oracle import (
+    apply_linear_map,
+    full_frame,
+    is_symmetric,
+    random_tensor,
+    random_unimodular,
+    s1_intro,
+    span_unit_rows,
+    subgrassmannian_span,
+)
 
 from grsecant import induction
 from grsecant.codes import monomial_certificate
@@ -28,13 +37,7 @@ from grsecant.gr26 import (
     five_term_identity,
     random_secant_point,
 )
-from grsecant.grassmann import (
-    CoordinateSubspace,
-    random_point,
-    span_unit_rows,
-    subgrassmannian_span,
-    tangent_space_dim,
-)
+from grsecant.grassmann import CoordinateSubspace, random_point, tangent_space_dim
 from grsecant.terracini import SecantProblem, Verdict, probe
 
 DEFECTIVE = {(2, 6, 3): (34, 35), (3, 7, 3): (50, 51), (3, 7, 4): (64, 68), (2, 8, 4): (74, 76)}

@@ -9,10 +9,11 @@ import pytest
 from click.testing import CliRunner
 from oracle import cache_index_reference, cache_replay_reference, format_tensor
 
-from grsecant import __version__
+from grsecant import __version__, cli
 from grsecant import cache as cache_module
 from grsecant.cache import ResultCache, cache_key
 from grsecant.cli import main
+from grsecant.codes import MAX_LEXICODE_SUPPORTS
 from grsecant.gr26 import fano_tensor, five_term_tensor
 
 
@@ -259,6 +260,9 @@ def _cache_files() -> dict[str, bytes]:
             + _put_line(k2, {"bad": 2}) + b"\n"
         ),
         "shortest-lines": shortest + b"\n" + b"\n".join(too_short) + b"\n",
+        # Newlines are searched a chunk at a time; lines here straddle chunk ends.
+        "several-newline-chunks": (b"\n" + a + b"\n  " + b + b"\n" + c[:50] + b"\n")
+        * (3 * cache_module._NEWLINE_CHUNK // 300),
         "stripped-line-first": b"  " + _put_line(k0, {"line": "padded"}) + b"\n" + a + b"\n" + b + b"\r\n" + b + b"\n",
         "utf8": _put_line(k3, {"note": "x"}).replace(b"x", "\u00e9".encode()) + b'\n{"key": "\xc3\xa9' + b"0" * 62 + b'", "record": {}}\n',
         "tiny-file": b'{"key": "x"}\n{}',
@@ -682,6 +686,22 @@ class TestCodesCommand:
     def test_usage(self, runner, tmp_path):
         assert invoke(runner, tmp_path, "codes", "-n", "3", "-w", "4").exit_code == 2
         assert invoke(runner, tmp_path, "codes", "-n", "8", "-w", "3", "-d", "5").exit_code == 2
+
+    @pytest.mark.parametrize("n, w", [(60, 30), (10**9, 5 * 10**8), (4097, 1), (4097, 4096)])
+    def test_too_many_supports_refused_before_the_scan(self, runner, tmp_path, monkeypatch, n, w):
+        def refuse(*args):
+            raise AssertionError("lexicode_greedy ran")
+
+        monkeypatch.setattr(cli, "lexicode_greedy", refuse)
+        result = invoke(runner, tmp_path, "codes", "-n", str(n), "-w", str(w))
+        assert result.exit_code == 2
+        assert "MAX_LEXICODE_SUPPORTS" in result.output
+
+    def test_largest_accepted_support_count(self, runner, tmp_path):
+        # C(4096, 1) = MAX_LEXICODE_SUPPORTS: accepted; one weight-1 word at distance 6.
+        result = invoke(runner, tmp_path, "--json", "codes", "-n", str(MAX_LEXICODE_SUPPORTS), "-w", "1")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["result"]["words"] == [[0]]
 
 
 DEMO_TEXT = {

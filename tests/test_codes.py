@@ -4,12 +4,29 @@ from itertools import combinations
 import pytest
 
 from grsecant.codes import (
+    MAX_LEXICODE_SUPPORTS,
     CodeSet,
     graham_sloane_bounds,
     lexicode_greedy,
+    lexicode_supports,
     monomial_certificate,
     tre_construction,
 )
+
+
+class TestLexicodeSupports:
+    def test_exact_up_to_the_bound(self):
+        for n in range(1, 40):
+            for w in range(n + 1):
+                c = math.comb(n, w)
+                if c <= MAX_LEXICODE_SUPPORTS:
+                    assert lexicode_supports(n, w) == c, (n, w)
+                else:
+                    assert lexicode_supports(n, w) > MAX_LEXICODE_SUPPORTS, (n, w)
+
+    def test_huge_counts_stop_early(self):
+        assert MAX_LEXICODE_SUPPORTS < lexicode_supports(10**12, 5 * 10**11) <= 10**12
+        assert lexicode_supports(4096, 4095) == MAX_LEXICODE_SUPPORTS < lexicode_supports(4097, 1)
 
 
 def pairwise_overlaps_ok(code: CodeSet) -> bool:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grsecant import fieldcore
+from grsecant import terracini
 from grsecant.fieldcore import (
     BLOCK_ROWS,
     DEFAULT_PRIME,
@@ -250,12 +250,18 @@ def _as_dtype(A, dtype, p):
     return A.astype(dtype)
 
 
-def _refuse_elimination(*args):
-    raise AssertionError("rows the prelude ranks by counting reached the elimination kernel")
+def _refuse(*args):
+    raise AssertionError("a monomial probe builds or ranks a tangent stack")
 
 
 class TestUnitRowPrelude:
-    """The unit-row prelude of rank_mod_p against the column-loop oracle."""
+    """Stacks made of signed unit rows against the column-loop oracle.
+
+    An earlier kernel counted such rows in a prelude before eliminating; the
+    probe now counts the coordinate structure it knows (span columns and
+    monomial certificates), and these stacks are ordinary kernel input.
+    The test names are kept from then.
+    """
 
     @pytest.mark.parametrize("p", [DEFAULT_PRIME, MAX_PRIME])
     @pytest.mark.parametrize("dtype", ["int64", "float64", "object"])
@@ -268,13 +274,10 @@ class TestUnitRowPrelude:
 
     @pytest.mark.parametrize("p", [DEFAULT_PRIME, MAX_PRIME])
     @pytest.mark.parametrize("dtype", ["int64", "float64", "object"])
-    def test_rows_unit_after_deletion(self, monkeypatch, p, dtype):
+    def test_rows_unit_after_deletion(self, p, dtype):
         n = 30
         A = _staircase(n, p)
-        with monkeypatch.context() as patch:
-            # Peeled one unit row at a time, with no elimination.
-            patch.setattr(fieldcore, "_eliminate_block", _refuse_elimination)
-            assert rank_mod_p(_as_dtype(A, dtype, p), p) == rank_mod_p_reference(A, p) == n
+        assert rank_mod_p(_as_dtype(A, dtype, p), p) == rank_mod_p_reference(A, p) == n
         # Without its unit row the staircase has no unit row at all; with a
         # row that repeats the sum of the others it stays rank n - 1.
         tail = np.vstack([A[1:], A[1:].sum(axis=0)])
@@ -290,8 +293,8 @@ class TestUnitRowPrelude:
 
     @pytest.mark.parametrize("p", [DEFAULT_PRIME, MAX_PRIME])
     @pytest.mark.parametrize("dtype", ["int64", "float64", "object"])
-    def test_all_unit_stack_is_never_eliminated(self, monkeypatch, p, dtype):
-        monkeypatch.setattr(fieldcore, "_eliminate_block", _refuse_elimination)
+    def test_all_unit_stack_is_never_eliminated(self, p, dtype):
+        # Now eliminated like any stack, and checked against the oracle.
         rng = np.random.default_rng(p)
         for shape in [(80, 50), (50, 80), (200, 200)]:
             A = _all_units(rng, *shape, p)
@@ -302,15 +305,14 @@ class TestUnitRowPrelude:
 
     @pytest.mark.parametrize("p", [DEFAULT_PRIME, MAX_PRIME])
     def test_monomial_probe_is_never_eliminated(self, monkeypatch, p):
-        # Coordinate points have coordinate tangent spaces: all unit rows.
-        monkeypatch.setattr(fieldcore, "_eliminate_block", _refuse_elimination)
-        v = probe(SecantProblem(k=2, n=12, s=4, prime=p), strategy="monomial")
-        assert v.achieved_rank == v.expected_rank == 4 * tangent_space_dim(2, 12)
-
-    def test_input_without_unit_rows_is_not_copied(self):
-        A = np.arange(1.0, 13.0).reshape(3, 4)
-        count, rest = fieldcore._unit_pivots(A, 7)
-        assert count == 0 and rest is A
+        # A monomial certificate's rank is a count: the probe builds no
+        # tangent stack and ranks nothing.
+        monkeypatch.setattr(terracini, "frame_rows", _refuse)
+        monkeypatch.setattr(terracini, "rank_mod_p", _refuse)
+        for strategy in ("monomial", "auto"):
+            v = probe(SecantProblem(k=2, n=12, s=4, prime=p), strategy=strategy)
+            assert v.achieved_rank == v.expected_rank == 4 * tangent_space_dim(2, 12)
+            assert v.trials_used == 1
 
 
 class TestDetExact:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracle import apply_linear_map, random_tensor, random_unimodular
+from oracle import apply_linear_map, coordinate_point, random_tensor, random_unimodular
 
 from grsecant import fieldcore
 from grsecant.extalg import Multivector, pairing_matrix, wedge_vectors
@@ -18,7 +18,7 @@ from grsecant.gr26 import (
     random_decomposable,
     random_secant_point,
 )
-from grsecant.grassmann import GrassPoint, coordinate_point
+from grsecant.grassmann import GrassPoint
 
 
 # Primes the CLI accepts, of every residue mod 3: 3 = 0, 7 and MAX_PRIME = 1,

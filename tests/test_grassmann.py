@@ -2,20 +2,26 @@ import math
 
 import numpy as np
 import pytest
-from oracle import full_frame, maximal_minors_reference, monomial_tangent_basis, subset_unrank, tangent_frame
+from oracle import (
+    coordinate_point,
+    full_frame,
+    maximal_minors_reference,
+    monomial_tangent_basis,
+    span_unit_rows,
+    subgrassmannian_span,
+    subset_unrank,
+    tangent_frame,
+)
 
 from grsecant.extalg import Multivector, subset_rank
 from grsecant.fieldcore import DEFAULT_PRIME, MAX_PRIME, SECOND_PRIME, rank_mod_p
 from grsecant.grassmann import (
     CoordinateSubspace,
     GrassPoint,
-    coordinate_point,
     frame_rows,
     maximal_minors_mod,
     pluecker,
     random_point,
-    span_unit_rows,
-    subgrassmannian_span,
     tangent_space_dim,
 )
 

@@ -135,10 +135,10 @@ class TestPropChecks:
         # Each constrained point adds exactly 18 fresh conditions on top of
         # the three spans.
         import numpy as np
-        from oracle import full_frame
+        from oracle import full_frame, span_unit_rows, subgrassmannian_span
 
         from grsecant.fieldcore import rank_mod_p
-        from grsecant.grassmann import random_point, span_unit_rows, subgrassmannian_span
+        from grsecant.grassmann import random_point
         from grsecant.induction import prop_a_supports
 
         n, p = 17, 32003

@@ -1,25 +1,26 @@
 import collections
-import dataclasses
 import math
 
 import numpy as np
 import pytest
-from oracle import full_frame
+from oracle import coordinate_point, full_frame, span_unit_rows, subgrassmannian_span
 
 from grsecant import grassmann, terracini
 from grsecant.codes import monomial_certificate
+from grsecant.extalg import subset_rank
 from grsecant.fieldcore import DEFAULT_PRIME, SECOND_PRIME, rank_mod_p
-from grsecant.grassmann import CoordinateSubspace, tangent_space_dim
+from grsecant.grassmann import CoordinateSubspace, span_columns, tangent_space_dim
+from grsecant.induction import prop_a_supports
 from grsecant.terracini import (
     CertificateUnavailable,
     ImpliedRange,
     SecantProblem,
     Verdict,
     _sample_points,
-    _stack,
     expected_affine_dim,
     monotone_extend,
     probe,
+    tangent_stack,
 )
 
 P = DEFAULT_PRIME
@@ -56,13 +57,14 @@ class TestProblemSize:
         with pytest.raises(ValueError, match="MAX_PROBE_ENTRIES"):
             SecantProblem(k, n, s)
 
-    def test_extra_span_rows_count(self):
-        # Stacked span rows count toward the bound: the probe alone fits,
-        # but not with the span basis of all of Gr(4,30) on top.
+    def test_extra_spans_add_no_stack_rows(self):
+        # Span columns are counted, not stacked, so a span adds nothing to
+        # the bound: the span basis of all of Gr(4,30) fits beside one point,
+        # and a problem too large without spans stays too large with them.
         full = CoordinateSubspace(30, tuple(range(31)))
-        SecantProblem(4, 30, 1)
+        SecantProblem(4, 30, 1, point_constraints=(full,), extra_spans=(full,))
         with pytest.raises(ValueError, match="MAX_PROBE_ENTRIES"):
-            SecantProblem(4, 30, 1, point_constraints=(full,), extra_spans=(full,))
+            SecantProblem(4, 30, 40, extra_spans=(full,))
 
 
 class TestProbe:
@@ -94,7 +96,7 @@ class TestProbe:
             for seed in range(3):
                 problem = SecantProblem(k, n, s, prime=p, seed=seed)
                 points = _sample_points(problem, 0)
-                stack = _stack(problem, points)
+                stack = tangent_stack(points, p)
                 frames = np.vstack([full_frame(pt.rows, p) for pt in points])
                 assert len(stack) == s * tangent_space_dim(k, n)
                 assert rank_mod_p(stack, p) == rank_mod_p(frames, p) == achieved
@@ -159,7 +161,8 @@ class TestTracedCallSites:
         "strategy, problem, sites",
         [
             ("random", SecantProblem(2, 9, 3, seed=1), {"frame_rows", "random_point", "rank_mod_p", "maximal_minors_mod"}),
-            ("auto", SecantProblem(3, 9, 3, seed=1), {"frame_rows", "rank_mod_p", "maximal_minors_mod"}),
+            # No monomial certificate of 6 words exists here: auto samples points.
+            ("auto", SecantProblem(3, 9, 6, seed=1), {"frame_rows", "random_point", "rank_mod_p", "maximal_minors_mod"}),
         ],
     )
     def test_probe_calls_traced_sites(self, monkeypatch, strategy, problem, sites):
@@ -197,18 +200,17 @@ class TestTangentStack:
     @pytest.mark.parametrize("spans", [False, True])
     def test_exact_size_and_no_zero_row(self, k, n, spans):
         # Three constrained points, one random and two coordinate points,
-        # under the unit rows of three coordinate spans or under nothing.
+        # with or without three coordinate spans: spans add no rows.
         L = CoordinateSubspace(n, tuple(range(4, n + 1)))
         M = CoordinateSubspace(n, tuple(range(0, 4)) + tuple(range(8, n + 1)))
         N = CoordinateSubspace(n, tuple(range(0, 8)))
         problem = SecantProblem(k, n, 4, seed=2, point_constraints=(L, M, N, None), extra_spans=(L, M, N) if spans else ())
         points = _sample_points(problem, 0) + [
-            grassmann.coordinate_point(k, n, range(k + 1)),
-            grassmann.coordinate_point(k, n, range(n - k, n + 1)),
+            coordinate_point(k, n, range(k + 1)),
+            coordinate_point(k, n, range(n - k, n + 1)),
         ]
-        head_rows = sum(math.comb(span.dim, k + 1) for span in problem.extra_spans)
-        stack = _stack(problem, points)
-        assert stack.shape == (head_rows + len(points) * tangent_space_dim(k, n), problem.ambient)
+        stack = tangent_stack(points, problem.prime)
+        assert stack.shape == (len(points) * tangent_space_dim(k, n), problem.ambient)
         assert stack.any(axis=1).all()
 
 
@@ -262,6 +264,56 @@ class TestMonomialCrossCheck:
                     assert v.verdict.is_certified(), (k, n, s)
 
 
+def _prop_supports():
+    """The spans of the Prop. A (n = 17), B (n = 11..16) and C (n = 9..14) base cases."""
+    yield prop_a_supports(17)
+    for n in range(11, 17):
+        yield CoordinateSubspace(n, tuple(range(6, n + 1))), CoordinateSubspace(n, tuple(range(0, n - 5)))
+    for n in range(9, 15):
+        yield (CoordinateSubspace(n, tuple(range(6, n + 1))),)
+
+
+class TestCountedRanks:
+    """The ranks a probe counts instead of eliminating, against elimination."""
+
+    ACCEPTANCE_GRID = [(k, n, s) for k in (2, 3, 4) for n in range(2 * k + 1, 15) for s in range(1, 7)]
+
+    def test_monomial_certificate_rank_is_the_count(self):
+        # Words at distance >= 6 have disjoint coordinate tangent spaces.
+        counted = 0
+        for k, n, s in self.ACCEPTANCE_GRID:
+            cert = monomial_certificate(k, n, s)
+            if cert is None:
+                continue
+            points = [coordinate_point(k, n, w) for w in cert.words[:s]]
+            assert rank_mod_p(tangent_stack(points, P), P) == s * tangent_space_dim(k, n), (k, n, s)
+            counted += 1
+        assert counted > 50
+
+    @pytest.mark.parametrize("spans", list(_prop_supports()), ids=lambda spans: f"n{spans[0].n}-{len(spans)}spans")
+    def test_span_columns_are_the_span_basis(self, spans):
+        n = spans[0].n
+        mask = span_columns(spans, n + 1, 3)
+        assert mask.shape == (math.comb(n + 1, 3),)
+        ranks = {subset_rank(t) for span in spans for t in subgrassmannian_span(span, 3)}
+        assert set(mask.nonzero()[0].tolist()) == ranks
+
+    @pytest.mark.parametrize("p", [P, SECOND_PRIME])
+    @pytest.mark.parametrize("n, free", [(9, 2), (10, 3), (11, 4), (12, 4)])
+    def test_span_probe_rank_matches_stacked_unit_rows(self, p, n, free):
+        # Prop. C-like (one span) and Prop. B-like (two spans) configurations,
+        # with points on each span and free points.
+        L = CoordinateSubspace(n, tuple(range(6, n + 1)))
+        M = CoordinateSubspace(n, tuple(range(0, n - 5)))
+        for spans, constraints in [((L,), (L,) * 3 + (None,) * free), ((L, M), (L, M) * 2 + (None,) * free)]:
+            problem = SecantProblem(
+                2, n, len(constraints), prime=p, seed=1, trials=1, point_constraints=constraints, extra_spans=spans
+            )
+            units = np.vstack([span_unit_rows(subgrassmannian_span(span, 3), n + 1, 3) for span in spans])
+            stack = np.vstack([units, tangent_stack(_sample_points(problem, 0), p)])
+            assert probe(problem, target_rank=problem.ambient).achieved_rank == rank_mod_p(stack, p)
+
+
 class TestSpecialization:
     def test_three_span_configuration(self):
         n = 17
@@ -275,7 +327,9 @@ class TestSpecialization:
         )
         v = probe(problem, target_rank=math.comb(18, 3))
         assert v.verdict is Verdict.CERTIFIED_FILLS
-        assert v.residual_dimension == 0
+        assert v.ambient - v.achieved_rank == 0
+        # A specialization's record has the same keys as any probe record.
+        assert set(v.to_record()) == set(probe(SecantProblem(2, n, 1)).to_record())
 
     def test_two_span_residuals(self):
         # floor((6n-49)/9) points per span, 4 free points; residual by n mod 3.
@@ -291,18 +345,7 @@ class TestSpecialization:
             )
             v = probe(problem, target_rank=target)
             assert v.achieved_rank == target
-            assert v.residual_dimension == expected_residual
-
-    def test_residual_only_for_specializations(self):
-        n = 11
-        L = CoordinateSubspace(n, tuple(range(6, n + 1)))
-        plain = probe(SecantProblem(2, n, 2, seed=0, point_constraints=(L, None)))
-        assert plain.residual_dimension is None and "residual" not in plain.to_record()
-        special = SecantProblem(2, n, 2, seed=0, point_constraints=(L, None), extra_spans=(L,))
-        v = probe(special, target_rank=100)
-        assert v.residual_dimension == v.ambient - v.achieved_rank == v.to_record()["residual"]
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            v.residual_dimension = 0
+            assert v.ambient - v.achieved_rank == expected_residual
 
     def test_inconsistent_constraint_rejected(self):
         n = 11
@@ -320,13 +363,11 @@ class TestMonotoneExtend:
         v = probe(SecantProblem(2, 9, 5, seed=0))
         rng = monotone_extend(v.verdict, v.problem.s)
         assert rng == ImpliedRange(Verdict.CERTIFIED_EXPECTED, 1, 5)
-        assert rng.covers(1) and rng.covers(5) and not rng.covers(6)
 
     def test_fills_extends_up(self):
         v = probe(SecantProblem(2, 9, 6, seed=0))
         rng = monotone_extend(v.verdict, v.problem.s)
         assert rng == ImpliedRange(Verdict.CERTIFIED_FILLS, 6, None)
-        assert rng.covers(6) and rng.covers(100) and not rng.covers(5)
 
     def test_rejects_inconclusive(self):
         v = probe(SecantProblem(2, 6, 3, seed=0))
