@@ -65,6 +65,10 @@ class GrassPoint:
         if rank_exact(self.rows) != self.k + 1:
             raise ValueError("row matrix is rank deficient")
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """A point reads as its row matrix, so functions of row matrices take points too."""
+        return np.array(self.rows, dtype=dtype, copy=copy)
+
 
 def pluecker(pt: GrassPoint) -> Multivector:
     """Plücker image: the wedge of the point's rows."""
@@ -205,3 +209,20 @@ def span_columns(spans: Sequence[CoordinateSubspace], dim: int, d: int) -> np.nd
     for span in spans:
         mask |= np.isin(idx, span.support).all(axis=1)
     return mask
+
+
+def coordinate_tangent_columns(m: int, dim: int, d: int) -> np.ndarray:
+    """Mask over the colex d-subsets of range(dim): those T meeting some
+    W_j = {jd, ..., jd+d-1}, j < m, in at least d-1 elements.
+
+    The tangent space to the cone over the Grassmannian at the coordinate
+    point e_W is spanned by the e_T with |T ∩ W| >= d-1 (replace one row of
+    e_W by a basis vector), so m coordinate points add exactly these
+    coordinates.  For d = 2 the sets of different W_j overlap.  T is
+    sorted, so d-1 of its elements in one W_j are its first or its last
+    d-1.
+    """
+    block = _subset_array(dim, d) // d
+    first = (block[:, 0] == block[:, d - 2]) & (block[:, 0] < m)
+    last = (block[:, 1] == block[:, d - 1]) & (block[:, 1] < m)
+    return first | last

@@ -16,6 +16,19 @@ monomial certificate (codes.monomial_certificate) names s coordinate
 points whose tangent spaces are spanned by disjoint sets of unit vectors,
 so its rank is s·((k+1)(n-k)+1) with no stack at all.
 
+Coordinate structure is also made.  The stack rank is the dimension of
+the span of the s tangent spaces (Terracini's lemma), which GL(n+1) does
+not change: an invertible M maps the tangent space at the row space of R
+onto the one at the row space of RM through the invertible map ∧^{k+1}M.
+Up to (n+1)/(k+1) generic (k+1)-planes are in direct sum, so one change of
+basis M sends the first m of a trial's points to the coordinate planes
+W_j = {j(k+1), ..., j(k+1)+k}, whose tangent spaces are spanned by the
+e_T with |T ∩ W_j| >= k.  Those columns are counted, and the other points'
+rows R M are stacked with them deleted.  Every trial's rank, and so every
+record, is the integer the plain stack of all s points would give.
+Problems with extra spans move no point: their span columns are
+coordinate only in the original basis.
+
 The verdict is derived from the ranks in one place, `Verdict.of`.  A
 cached probe record is replayed only if `replays` rebuilds the same record
 from the problem asked and the record's achieved rank and trial count.
@@ -27,12 +40,21 @@ import enum
 import json
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import codes
-from .fieldcore import BLOCK_ROWS, DEFAULT_PRIME, rank_mod_p, validate_prime
-from .grassmann import CoordinateSubspace, GrassPoint, frame_rows, random_point, span_columns, tangent_space_dim
+from .fieldcore import BLOCK_ROWS, DEFAULT_PRIME, inverse_mod_p, rank_mod_p, validate_prime
+from .grassmann import (
+    CoordinateSubspace,
+    GrassPoint,
+    coordinate_tangent_columns,
+    frame_rows,
+    random_point,
+    span_columns,
+    tangent_space_dim,
+)
 
 DEFAULT_TRIALS = 3
 
@@ -85,8 +107,14 @@ def _probe_entries(k: int, n: int, rows: int) -> int:
     That is the int64 minor tables of every size t <= k+1 (the subset and
     drop tables, the expansion's products and frame_rows' signed minors,
     4 t C(n+1, t) entries in all) and, in float64, the tangent stack, its
-    copy without any span columns, the rank kernel's basis E and its
-    scratch.  Extra spans add no rows: their columns are counted.  The
+    copy without the counted columns, the rank kernel's basis E and its
+    scratch.  The stack holds at most `rows` rows whether or not points
+    were moved to coordinate planes, so the stack of the other points and
+    its column-deleted copy fall under the 2·rows term.  The change of
+    basis and its elimination (about 10 (n+1)**2 entries) are freed before
+    the stack is built; they are held at most beside the previous trial's
+    stack, below the peak counted here.  Extra spans add no rows: their
+    columns are counted.  The
     count stops as soon as the tables pass MAX_PROBE_ENTRIES, so a huge
     problem costs no huge binomial.
     """
@@ -195,18 +223,45 @@ def _sample_points(problem: SecantProblem, trial: int) -> list[GrassPoint]:
     ]
 
 
-def tangent_stack(points: list[GrassPoint], p: int) -> np.ndarray:
+def tangent_stack(points: Sequence[np.typing.ArrayLike], p: int) -> np.ndarray:
     """A tangent-space basis at each point, as one float64 stack mod p.
 
+    A point is its (k+1) x (n+1) row matrix; a GrassPoint reads as its
+    rows, so the gr26 demos pass their points as they are.
     Each point writes exactly tangent_space_dim(k, n) rows, so the stack is
     allocated once at its final size and filled in order.
     """
-    k, n = points[0].k, points[0].n
-    stack = np.zeros((len(points) * tangent_space_dim(k, n), math.comb(n + 1, k + 1)))
+    d, dim = np.shape(points[0])
+    stack = np.zeros((len(points) * tangent_space_dim(d - 1, dim - 1), math.comb(dim, d)))
     filled = 0
-    for pt in points:
-        filled += len(frame_rows(pt.rows, p, stack[filled:]))
+    for rows in points:
+        filled += len(frame_rows(rows, p, stack[filled:]))
     return stack
+
+
+def _to_coordinate_planes(points: list[np.ndarray], p: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Move the first m points to coordinate planes; returns their tangent
+    columns and the other points in the new basis.
+
+    m starts at min(s, (n+1) // (k+1)).  The rows of the first m points,
+    completed by the unit rows e_{m(k+1)}, ..., e_n, form a matrix P; if P
+    is invertible mod p, M = P^-1 sends point j < m to the coordinate plane
+    W_j = {j(k+1), ..., j(k+1)+k}, whose tangent space is spanned by unit
+    vectors (grassmann.coordinate_tangent_columns), and every other point R
+    to R M.  A singular P is retried with m-1; at m = 0 nothing moves.
+    R M is taken in int64, exact while (n+1)(p-1)**2 < 2**63, which
+    p <= MAX_PRIME and the inverse's n+1 <= GEMM_DEPTH imply.
+    """
+    d, dim = points[0].shape
+    if dim * (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"change of basis of {dim} coordinates mod {p} would overflow int64")
+    for m in range(min(len(points), dim // d), 0, -1):
+        basis = np.eye(dim, dtype=np.int64)
+        basis[: m * d] = np.concatenate(points[:m])
+        inverse = inverse_mod_p(basis, p)
+        if inverse is not None:
+            return coordinate_tangent_columns(m, dim, d), [rows @ inverse % p for rows in points[m:]]
+    return np.zeros(math.comb(dim, d), dtype=bool), points
 
 
 def _has_certificate(problem: SecantProblem) -> bool:
@@ -224,13 +279,18 @@ def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | N
     Under monomial, and under auto for an ambient dimension up to
     AUTO_CERTIFICATE_AMBIENT_LIMIT, a monomial certificate gives the rank
     s·((k+1)(n-k)+1) by counting, in one trial, with no point sampled.
-    Otherwise each trial ranks the tangent stack at s sampled points.
+    Otherwise each trial ranks the tangent stack at s sampled points.  The
+    trial first moves its first m <= min(s, (n+1) // (k+1)) points to
+    coordinate planes (_to_coordinate_planes); its rank is the number of
+    their tangent columns plus the rank of the other s - m points' stack
+    with those columns deleted, and when s = m no stack is built.  The
+    change of basis is invertible, so the rank is the plain stack's.
 
     A problem with extra spans is a specialization: each constrained point
-    must lie in one of the spans.  Each trial's rank is the number of
-    Plücker coordinates inside the spans plus the rank of the tangent stack
-    with those columns deleted, and ambient - achieved counts the
-    hyperplanes through the whole configuration.
+    must lie in one of the spans.  No point is moved.  Each trial's rank is
+    the number of Plücker coordinates inside the spans plus the rank of the
+    tangent stack with those columns deleted, and ambient - achieved counts
+    the hyperplanes through the whole configuration.
     """
     if strategy not in ("random", "monomial", "auto"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -252,12 +312,18 @@ def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | N
             )
 
     spanned = span_columns(problem.extra_spans, problem.n + 1, problem.k + 1)
-    counted = int(spanned.sum())
     best = 0
     trials_used = 0
     for trial in range(problem.trials):
-        stack = tangent_stack(_sample_points(problem, trial), problem.prime)
-        rank = counted + rank_mod_p(stack[:, ~spanned] if counted else stack, problem.prime)
+        points = [pt.rows for pt in _sample_points(problem, trial)]
+        if problem.extra_spans:
+            counted = spanned
+        else:
+            counted, points = _to_coordinate_planes(points, problem.prime)
+        rank = int(counted.sum())
+        if points:
+            stack = tangent_stack(points, problem.prime)
+            rank += rank_mod_p(stack[:, ~counted] if counted.any() else stack, problem.prime)
         trials_used = trial + 1
         best = max(best, rank)
         if best >= expected:

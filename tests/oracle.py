@@ -8,9 +8,16 @@ expansion and the full tangent frame that `grassmann.maximal_minors_mod`
 and `grassmann.frame_rows` replaced; `tangent_frame` builds the same frame
 from exact wedges and checks its rank.
 
+`lexicode_greedy_reference` is the pairwise scan that
+`codes.lexicode_greedy`'s set of shared subsets replaced.
+
 `cache_index_reference` and `cache_replay_reference` are the
 line-by-line cache load and replay that `cache.ResultCache`'s vectorised
 index replaced.
+
+`stacked_trial_rank` ranks a probe trial's tangent stack at all s
+sampled points as they are, before `terracini.probe` moved the first of
+them to coordinate planes.
 
 `coordinate_point`, `subgrassmannian_span` and `span_unit_rows` build the
 coordinate points of a monomial certificate and the unit rows of a
@@ -40,6 +47,7 @@ from grsecant.extalg import Multivector, subset_rank, subsets_colex, wedge_vecto
 from grsecant.fieldcore import DEFAULT_PRIME, rank_mod_p
 from grsecant.grassmann import CoordinateSubspace, GrassPoint, RankDrop, tangent_space_dim
 from grsecant.induction import _require, points_kept_floor
+from grsecant.terracini import SecantProblem, _sample_points, tangent_stack
 
 
 def rank_mod_p_reference(mat, p: int) -> int:
@@ -70,6 +78,14 @@ def rank_mod_p_reference(mat, p: int) -> int:
             A[idx, c:] = (A[idx, c:] - below[hit, None] * row) % p
         r += 1
     return r
+
+
+def stacked_trial_rank(problem: SecantProblem, trial: int = 0) -> int:
+    """Rank mod p of the plain stack of tangent bases at all s points a
+    probe samples in `trial`; the problem must have no extra spans."""
+    if problem.extra_spans:
+        raise ValueError("extra spans enter a probe as counted columns, not rows")
+    return rank_mod_p(tangent_stack(_sample_points(problem, trial), problem.prime), problem.prime)
 
 
 def maximal_minors_reference(mat, p: int) -> np.ndarray:
@@ -330,3 +346,19 @@ def cache_replay_reference(lines: list[bytes], key: str, replays=None) -> tuple[
         ):
             return entry["record"], skipped
     return None, len(lines)
+
+
+def lexicode_greedy_reference(length: int, weight: int, min_distance: int = 6) -> tuple[tuple[int, ...], ...]:
+    """The greedy lexicode's words by the pairwise scan: each weight-w support,
+    in colex order, is kept when it meets every kept word in at most
+    w - d/2 elements.  Words are bitmasks, so one popcount compares a
+    support with all kept words at once."""
+    max_overlap = weight - min_distance // 2
+    kept: list[tuple[int, ...]] = []
+    masks = np.zeros(math.comb(length, weight), dtype=np.uint64)
+    for cand in subsets_colex(length, weight):
+        mask = np.uint64(sum(1 << i for i in cand))
+        if (np.bitwise_count(masks[: len(kept)] & mask) <= max_overlap).all():
+            masks[len(kept)] = mask
+            kept.append(cand)
+    return tuple(kept)

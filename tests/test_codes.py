@@ -2,6 +2,7 @@ import math
 from itertools import combinations
 
 import pytest
+from oracle import lexicode_greedy_reference
 
 from grsecant.codes import (
     MAX_LEXICODE_SUPPORTS,
@@ -105,6 +106,19 @@ class TestLexicodeGreedy:
         c = lexicode_greedy(7, 3, min_distance=4)
         assert pairwise_overlaps_ok(c)
         assert len(c) == 7  # the point-line packing bound for overlap <= 1
+
+    @pytest.mark.parametrize("distance", [2, 4, 6])
+    def test_matches_pairwise_scan(self, distance):
+        # The shared-subset test keeps the same words, in the same order, as
+        # comparing each support with every kept word.
+        for length in range(1, 17):
+            for weight in range(1, min(length, 6) + 1):
+                expected = lexicode_greedy_reference(length, weight, distance)
+                assert lexicode_greedy(length, weight, distance).words == expected, (length, weight)
+
+    def test_close_words_named_in_error(self):
+        with pytest.raises(ValueError, match=r"\(0, 1, 2\) and \(0, 1, 3\) are too close"):
+            CodeSet(8, 3, ((0, 1, 2), (4, 5, 6), (0, 1, 3)), distance=4)
 
 
 class TestGrahamSloane:

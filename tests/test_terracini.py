@@ -1,15 +1,16 @@
 import collections
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from oracle import coordinate_point, full_frame, span_unit_rows, subgrassmannian_span
+from oracle import coordinate_point, full_frame, span_unit_rows, stacked_trial_rank, subgrassmannian_span
 
 from grsecant import grassmann, terracini
 from grsecant.codes import monomial_certificate
 from grsecant.extalg import subset_rank
-from grsecant.fieldcore import DEFAULT_PRIME, SECOND_PRIME, rank_mod_p
-from grsecant.grassmann import CoordinateSubspace, span_columns, tangent_space_dim
+from grsecant.fieldcore import DEFAULT_PRIME, GEMM_DEPTH, MAX_PRIME, SECOND_PRIME, inverse_mod_p, rank_mod_p
+from grsecant.grassmann import CoordinateSubspace, coordinate_tangent_columns, span_columns, tangent_space_dim
 from grsecant.induction import prop_a_supports
 from grsecant.terracini import (
     CertificateUnavailable,
@@ -155,12 +156,17 @@ class TestProbe:
 
 
 class TestTracedCallSites:
-    """A probe reaches each layer through the module attribute that benchmarks/workloads.py patches."""
+    """A probe reaches each layer through the module attribute that benchmarks/workloads.py patches.
+
+    The first m = min(s, (n+1) // (k+1)) points are moved to coordinate
+    planes and counted, so only the other s - m reach frame_rows; both
+    problems have s > m.
+    """
 
     @pytest.mark.parametrize(
         "strategy, problem, sites",
         [
-            ("random", SecantProblem(2, 9, 3, seed=1), {"frame_rows", "random_point", "rank_mod_p", "maximal_minors_mod"}),
+            ("random", SecantProblem(2, 9, 5, seed=1), {"frame_rows", "random_point", "rank_mod_p", "maximal_minors_mod"}),
             # No monomial certificate of 6 words exists here: auto samples points.
             ("auto", SecantProblem(3, 9, 6, seed=1), {"frame_rows", "random_point", "rank_mod_p", "maximal_minors_mod"}),
         ],
@@ -192,7 +198,7 @@ class TestTracedCallSites:
         v = probe(problem, strategy)
         assert v.verdict.is_certified()
         assert {name for name in calls if calls[name]} == sites
-        assert calls["frame_rows"] == problem.s
+        assert calls["frame_rows"] == problem.s - min(problem.s, (problem.n + 1) // (problem.k + 1))
 
 
 class TestTangentStack:
@@ -312,6 +318,93 @@ class TestCountedRanks:
             units = np.vstack([span_unit_rows(subgrassmannian_span(span, 3), n + 1, 3) for span in spans])
             stack = np.vstack([units, tangent_stack(_sample_points(problem, 0), p)])
             assert probe(problem, target_rank=problem.ambient).achieved_rank == rank_mod_p(stack, p)
+
+
+def _trial_rank(problem: SecantProblem) -> int:
+    """The rank `probe` reaches in the problem's first trial."""
+    return probe(dataclasses.replace(problem, trials=1), target_rank=problem.ambient).achieved_rank
+
+
+class TestCoordinateNormalisation:
+    """Moving a trial's first points to coordinate planes keeps its rank."""
+
+    PRIMES = (P, SECOND_PRIME, MAX_PRIME)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_acceptance_grid_matches_plain_stack(self, p):
+        for k, n, s in TestCountedRanks.ACCEPTANCE_GRID:
+            problem = SecantProblem(k, n, s, prime=p, seed=4)
+            assert _trial_rank(problem) == stacked_trial_rank(problem), (k, n, s)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("k, n, s, achieved", [(2, 6, 3, 34), (3, 7, 3, 50), (3, 7, 4, 64), (2, 8, 4, 74)])
+    def test_defective_cases(self, p, k, n, s, achieved):
+        for seed in range(3):
+            problem = SecantProblem(k, n, s, prime=p, seed=seed)
+            assert _trial_rank(problem) == stacked_trial_rank(problem) == achieved
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_k1_overlapping_tangent_columns(self, p):
+        # For k = 1 the coordinate tangent sets of two planes share the
+        # columns {a, b} with a in one plane and b in the other.
+        assert coordinate_tangent_columns(4, 10, 2).sum() == 44 < 4 * tangent_space_dim(1, 9)
+        assert _trial_rank(SecantProblem(1, 9, 4, prime=p)) == 44
+        for n, s in [(9, 3), (9, 4), (9, 6), (11, 3), (11, 7), (12, 5), (12, 8)]:
+            problem = SecantProblem(1, n, s, prime=p, seed=1)
+            assert _trial_rank(problem) == stacked_trial_rank(problem), (n, s)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_constrained_points_without_spans(self, p):
+        n = 11
+        L = CoordinateSubspace(n, tuple(range(4, n + 1)))
+        M = CoordinateSubspace(n, tuple(range(0, 4)) + tuple(range(8, n + 1)))
+        N = CoordinateSubspace(n, tuple(range(0, 8)))
+        for k in (1, 2, 3):
+            for constraints in [(L, M, N, None, L), (None, L, None, M, N, None), (N, N, N)]:
+                problem = SecantProblem(k, n, len(constraints), prime=p, seed=3, point_constraints=constraints)
+                assert _trial_rank(problem) == stacked_trial_rank(problem), (k, constraints)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_singular_prefix_falls_back_to_fewer_planes(self, p):
+        # Two 2-planes in one 4-dimensional support are not in direct sum,
+        # so only the first point moves.
+        k, n = 2, 9
+        W = CoordinateSubspace(n, (0, 1, 2, 3))
+        problem = SecantProblem(k, n, 4, prime=p, seed=5, point_constraints=(W, W, None, None))
+        points = [pt.rows for pt in _sample_points(problem, 0)]
+        counted, rest = terracini._to_coordinate_planes(points, p)
+        assert counted.sum() == tangent_space_dim(k, n)
+        assert len(rest) == 3
+        assert _trial_rank(problem) == stacked_trial_rank(problem)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_inverse_mod_p(self, p):
+        rng = np.random.default_rng(p)
+        for size in (1, 3, 10, 21, 31):
+            A = rng.integers(0, p, size=(size, size))
+            inverse = inverse_mod_p(A, p)
+            product = A.astype(object).dot(inverse.astype(object)) % p
+            assert np.array_equal(product, np.eye(size, dtype=np.int64)), size
+        A[1] = (3 * A[0]) % p
+        assert inverse_mod_p(A, p) is None
+
+    def test_inverse_refuses_more_rows_than_gemm_depth(self):
+        with pytest.raises(ValueError, match="GEMM_DEPTH"):
+            inverse_mod_p(np.eye(GEMM_DEPTH + 1, dtype=np.int64), P)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_largest_accepted_problem_inverts_exactly(self, k):
+        # The change of basis has n+1 rows: the inverse is exact while
+        # n+1 <= GEMM_DEPTH, and R @ M in int64 while (n+1)(p-1)**2 < 2**63.
+        n = k + 1
+        while True:
+            try:
+                SecantProblem(k, n + 1, 1)
+            except ValueError:
+                break
+            n += 1
+        assert n + 1 <= GEMM_DEPTH
+        assert (n + 1) * (MAX_PRIME - 1) ** 2 < 2**63
 
 
 class TestSpecialization:
