@@ -107,6 +107,12 @@ def _problem(config: RunConfig, k: int, n: int, s: int, prime: int) -> SecantPro
         raise click.UsageError(str(exc))
 
 
+def _formula_bound(option: str, n: int):
+    """Refuse an n above induction.MAX_FORMULA_N as a usage error, before any work starts."""
+    if n > induction.MAX_FORMULA_N:
+        raise click.UsageError(f"{option} {n} too large: above MAX_FORMULA_N = {induction.MAX_FORMULA_N}")
+
+
 def _probe_record(config: RunConfig, problem: SecantProblem, strategy: str) -> dict:
     parameters = {"k": problem.k, "n": problem.n, "s": problem.s, "strategy": strategy, "trials": config.trials}
     return _run_cached(
@@ -259,6 +265,7 @@ def induction_cmd(config: RunConfig, n_max: int):
     """Certify the two-threshold theorem for 9 <= n <= n_max."""
     if n_max < 14:
         raise click.UsageError("--n-max must be at least 14")
+    _formula_bound("--n-max", n_max)
     exit_code = 0
     for prime in config.primes:
         def compute():
@@ -400,6 +407,7 @@ def formulas_cmd(config: RunConfig, n_from: int, n_to: int):
     """Print the counting formulas and bounds over a range of n."""
     if n_from < 9 or n_from > n_to:
         raise click.UsageError("need 9 <= n-from <= n-to")
+    _formula_bound("--n-to", n_to)
     rows = []
     for n in range(n_from, n_to + 1):
         lower, upper = induction.bounds(n, 2)

@@ -1,8 +1,7 @@
-"""Exact arithmetic substrate: GF(p) ranks and inverses; integer ranks, determinants and cube roots.
+"""Exact arithmetic substrate: GF(p) ranks; integer ranks, determinants and cube roots.
 
-GF(p) elimination computes ranks, and inverses of at most GEMM_DEPTH rows,
-in float64, which represents every integer of magnitude at most 2**53
-exactly.  Every product the kernel
+GF(p) elimination computes ranks only, in float64, which represents every
+integer of magnitude at most 2**53 exactly.  Every product the kernel
 forms is of two entries reduced into [0, p), and no value takes more than
 GEMM_DEPTH such products between two reductions: the forward substitution
 of a block counts the products its rows have taken (its depth) and reduces
@@ -224,34 +223,6 @@ def rank_mod_p(mat, p: int = DEFAULT_PRIME) -> int:
         pivots[r : r + len(found)] = found
         r += len(found)
     return r
-
-
-def inverse_mod_p(mat, p: int = DEFAULT_PRIME) -> np.ndarray | None:
-    """Inverse of a square integer matrix over GF(p) as int64 in [0, p), or
-    None when it is singular mod p.
-
-    One Gauss-Jordan pass of _eliminate_block over [A | I]: A is invertible
-    exactly when every pivot lies in A's columns, and then the row with
-    pivot column c holds row c of the inverse in its I columns.  The block
-    is eliminated whole, which is exact only while it has at most
-    GEMM_DEPTH rows; larger matrices are refused.
-    """
-    if not 1 < p <= MAX_PRIME:
-        raise ValueError(f"modulus {p} outside (1, MAX_PRIME={MAX_PRIME}]; float64 elimination would not be exact")
-    A = np.asarray(mat)
-    m = len(A)
-    if A.shape != (m, m):
-        raise ValueError("inverse of a non-square matrix")
-    if m > GEMM_DEPTH:
-        raise ValueError(f"{m}x{m} inverse exceeds GEMM_DEPTH = {GEMM_DEPTH} rows; its elimination would not be exact")
-    B = _float_block(np.hstack([A, np.eye(m, dtype=A.dtype)]), p)
-    E = np.empty_like(B)
-    found = _eliminate_block(B, E, 0, p, np.empty((2, *B.shape)))
-    if any(c >= m for c in found):
-        return None
-    inverse = np.empty((m, m), dtype=np.int64)
-    inverse[found] = E[:, m:]
-    return inverse
 
 
 def _int_rows(mat) -> list[list[int]]:

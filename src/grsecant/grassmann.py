@@ -65,10 +65,6 @@ class GrassPoint:
         if rank_exact(self.rows) != self.k + 1:
             raise ValueError("row matrix is rank deficient")
 
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """A point reads as its row matrix, so functions of row matrices take points too."""
-        return np.array(self.rows, dtype=dtype, copy=copy)
-
 
 def pluecker(pt: GrassPoint) -> Multivector:
     """Plücker image: the wedge of the point's rows."""

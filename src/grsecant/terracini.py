@@ -1,12 +1,13 @@
 """Secant-dimension probes for Gr(k,n) by stacked tangent frames over GF(p).
 
-A probe draws s random points, stacks a basis of the affine tangent space
-at each point (the Plücker row plus (k+1)(n-k) tangent-frame generators,
-written by grassmann.frame_rows straight into one float64 stack), and
-compares the GF(p) rank of the stack with the expected affine dimension.
-Hitting the expectation is a valid characteristic-0 certificate by
-semicontinuity; falling short is only circumstantial evidence of a defect,
-so such verdicts are inconclusive and retried with fresh seeds.
+A probe takes s points (random ones, and coordinate planes where it may;
+see below), stacks a basis of the affine tangent space at each point (the
+Plücker row plus (k+1)(n-k) tangent-frame generators, written by
+grassmann.frame_rows straight into one float64 stack), and compares the
+GF(p) rank of the stack with the expected affine dimension.  Hitting the
+expectation is a valid characteristic-0 certificate by semicontinuity;
+falling short is only circumstantial evidence of a defect, so such
+verdicts are inconclusive and retried with fresh seeds.
 
 Coordinate structure is counted, not eliminated.  A coordinate span adds
 exactly the Plücker coordinates inside its support; against those unit
@@ -16,18 +17,17 @@ monomial certificate (codes.monomial_certificate) names s coordinate
 points whose tangent spaces are spanned by disjoint sets of unit vectors,
 so its rank is s·((k+1)(n-k)+1) with no stack at all.
 
-Coordinate structure is also made.  The stack rank is the dimension of
-the span of the s tangent spaces (Terracini's lemma), which GL(n+1) does
-not change: an invertible M maps the tangent space at the row space of R
-onto the one at the row space of RM through the invertible map ∧^{k+1}M.
-Up to (n+1)/(k+1) generic (k+1)-planes are in direct sum, so one change of
-basis M sends the first m of a trial's points to the coordinate planes
-W_j = {j(k+1), ..., j(k+1)+k}, whose tangent spaces are spanned by the
-e_T with |T ∩ W_j| >= k.  Those columns are counted, and the other points'
-rows R M are stacked with them deleted.  Every trial's rank, and so every
-record, is the integer the plain stack of all s points would give.
-Problems with extra spans move no point: their span columns are
-coordinate only in the original basis.
+Coordinate structure is also chosen.  The stack rank is the dimension of
+the span of the tangent spaces at s general points (Terracini's lemma),
+and GL(n+1) moves any m <= (n+1)/(k+1) (k+1)-planes in direct sum to the
+coordinate planes W_j = {j(k+1), ..., j(k+1)+k}.  So an unconstrained
+probe takes W_0..W_{m-1} as its first m points, counts their tangent
+columns (the e_T with |T ∩ W_j| >= k) and samples only the other s - m
+points, whose rows are stacked with those columns deleted.  For a fixed
+invertible M a uniform random matrix R and RM have the same law, so each
+trial's rank has the law it would have at s sampled points, and any
+configuration reaching the expected rank certifies it.  Problems with
+constrained points or extra spans sample every point.
 
 The verdict is derived from the ranks in one place, `Verdict.of`.  A
 cached probe record is replayed only if `replays` rebuilds the same record
@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from . import codes
-from .fieldcore import BLOCK_ROWS, DEFAULT_PRIME, inverse_mod_p, rank_mod_p, validate_prime
+from .fieldcore import BLOCK_ROWS, DEFAULT_PRIME, rank_mod_p, validate_prime
 from .grassmann import (
     CoordinateSubspace,
     GrassPoint,
@@ -108,15 +108,9 @@ def _probe_entries(k: int, n: int, rows: int) -> int:
     drop tables, the expansion's products and frame_rows' signed minors,
     4 t C(n+1, t) entries in all) and, in float64, the tangent stack, its
     copy without the counted columns, the rank kernel's basis E and its
-    scratch.  The stack holds at most `rows` rows whether or not points
-    were moved to coordinate planes, so the stack of the other points and
-    its column-deleted copy fall under the 2·rows term.  The change of
-    basis and its elimination (about 10 (n+1)**2 entries) are freed before
-    the stack is built; they are held at most beside the previous trial's
-    stack, below the peak counted here.  Extra spans add no rows: their
-    columns are counted.  The
-    count stops as soon as the tables pass MAX_PROBE_ENTRIES, so a huge
-    problem costs no huge binomial.
+    scratch.  Extra spans and coordinate planes add no rows: their columns
+    are counted.  The count stops as soon as the tables pass
+    MAX_PROBE_ENTRIES, so a huge problem costs no huge binomial.
     """
     dim = n + 1
     tables = 0
@@ -215,53 +209,27 @@ def _point_rng(problem: SecantProblem, trial: int, index: int) -> np.random.Gene
     return np.random.default_rng([seed, problem.prime, problem.k, problem.n, trial, index])
 
 
-def _sample_points(problem: SecantProblem, trial: int) -> list[GrassPoint]:
+def _sample_points(problem: SecantProblem, trial: int, first: int = 0) -> list[GrassPoint]:
+    """The trial's points first..s-1; point i is drawn from its own stream."""
     constraints = problem.point_constraints or (None,) * problem.s
     return [
         random_point(problem.k, problem.n, _point_rng(problem, trial, i), constraints[i], problem.prime)
-        for i in range(problem.s)
+        for i in range(first, problem.s)
     ]
 
 
-def tangent_stack(points: Sequence[np.typing.ArrayLike], p: int) -> np.ndarray:
+def tangent_stack(points: Sequence[GrassPoint], p: int) -> np.ndarray:
     """A tangent-space basis at each point, as one float64 stack mod p.
 
-    A point is its (k+1) x (n+1) row matrix; a GrassPoint reads as its
-    rows, so the gr26 demos pass their points as they are.
     Each point writes exactly tangent_space_dim(k, n) rows, so the stack is
     allocated once at its final size and filled in order.
     """
-    d, dim = np.shape(points[0])
-    stack = np.zeros((len(points) * tangent_space_dim(d - 1, dim - 1), math.comb(dim, d)))
+    k, n = points[0].k, points[0].n
+    stack = np.zeros((len(points) * tangent_space_dim(k, n), math.comb(n + 1, k + 1)))
     filled = 0
-    for rows in points:
-        filled += len(frame_rows(rows, p, stack[filled:]))
+    for pt in points:
+        filled += len(frame_rows(pt.rows, p, stack[filled:]))
     return stack
-
-
-def _to_coordinate_planes(points: list[np.ndarray], p: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Move the first m points to coordinate planes; returns their tangent
-    columns and the other points in the new basis.
-
-    m starts at min(s, (n+1) // (k+1)).  The rows of the first m points,
-    completed by the unit rows e_{m(k+1)}, ..., e_n, form a matrix P; if P
-    is invertible mod p, M = P^-1 sends point j < m to the coordinate plane
-    W_j = {j(k+1), ..., j(k+1)+k}, whose tangent space is spanned by unit
-    vectors (grassmann.coordinate_tangent_columns), and every other point R
-    to R M.  A singular P is retried with m-1; at m = 0 nothing moves.
-    R M is taken in int64, exact while (n+1)(p-1)**2 < 2**63, which
-    p <= MAX_PRIME and the inverse's n+1 <= GEMM_DEPTH imply.
-    """
-    d, dim = points[0].shape
-    if dim * (p - 1) ** 2 >= 2**63:
-        raise ValueError(f"change of basis of {dim} coordinates mod {p} would overflow int64")
-    for m in range(min(len(points), dim // d), 0, -1):
-        basis = np.eye(dim, dtype=np.int64)
-        basis[: m * d] = np.concatenate(points[:m])
-        inverse = inverse_mod_p(basis, p)
-        if inverse is not None:
-            return coordinate_tangent_columns(m, dim, d), [rows @ inverse % p for rows in points[m:]]
-    return np.zeros(math.comb(dim, d), dtype=bool), points
 
 
 def _has_certificate(problem: SecantProblem) -> bool:
@@ -279,18 +247,17 @@ def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | N
     Under monomial, and under auto for an ambient dimension up to
     AUTO_CERTIFICATE_AMBIENT_LIMIT, a monomial certificate gives the rank
     s·((k+1)(n-k)+1) by counting, in one trial, with no point sampled.
-    Otherwise each trial ranks the tangent stack at s sampled points.  The
-    trial first moves its first m <= min(s, (n+1) // (k+1)) points to
-    coordinate planes (_to_coordinate_planes); its rank is the number of
-    their tangent columns plus the rank of the other s - m points' stack
-    with those columns deleted, and when s = m no stack is built.  The
-    change of basis is invertible, so the rank is the plain stack's.
+    Otherwise each trial ranks the tangent stack at s points.  Without
+    constrained points or extra spans the first m = min(s, (n+1) // (k+1))
+    points are the coordinate planes W_j: their tangent columns are
+    counted, and only points m..s-1 are sampled and stacked, with those
+    columns deleted.  When s = m no stack is built.
 
     A problem with extra spans is a specialization: each constrained point
-    must lie in one of the spans.  No point is moved.  Each trial's rank is
-    the number of Plücker coordinates inside the spans plus the rank of the
-    tangent stack with those columns deleted, and ambient - achieved counts
-    the hyperplanes through the whole configuration.
+    must lie in one of the spans.  Each trial's rank is the number of
+    Plücker coordinates inside the spans plus the rank of the tangent stack
+    with those columns deleted, and ambient - achieved counts the
+    hyperplanes through the whole configuration.
     """
     if strategy not in ("random", "monomial", "auto"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -311,18 +278,19 @@ def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | N
                 f"no monomial certificate for (k={problem.k}, n={problem.n}, s={problem.s})"
             )
 
-    spanned = span_columns(problem.extra_spans, problem.n + 1, problem.k + 1)
+    dim, d = problem.n + 1, problem.k + 1
+    if problem.point_constraints or problem.extra_spans:
+        first = 0
+        counted = span_columns(problem.extra_spans, dim, d)
+    else:
+        first = min(problem.s, dim // d)
+        counted = coordinate_tangent_columns(first, dim, d)
     best = 0
     trials_used = 0
     for trial in range(problem.trials):
-        points = [pt.rows for pt in _sample_points(problem, trial)]
-        if problem.extra_spans:
-            counted = spanned
-        else:
-            counted, points = _to_coordinate_planes(points, problem.prime)
         rank = int(counted.sum())
-        if points:
-            stack = tangent_stack(points, problem.prime)
+        if first < problem.s:
+            stack = tangent_stack(_sample_points(problem, trial, first), problem.prime)
             rank += rank_mod_p(stack[:, ~counted] if counted.any() else stack, problem.prime)
         trials_used = trial + 1
         best = max(best, rank)

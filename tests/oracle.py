@@ -15,9 +15,9 @@ from exact wedges and checks its rank.
 line-by-line cache load and replay that `cache.ResultCache`'s vectorised
 index replaced.
 
-`stacked_trial_rank` ranks a probe trial's tangent stack at all s
-sampled points as they are, before `terracini.probe` moved the first of
-them to coordinate planes.
+`stacked_trial_rank` ranks by elimination the plain tangent stack at the
+s points of a probe trial: the coordinate planes whose tangent columns
+`terracini.probe` counts, then the points it samples.
 
 `coordinate_point`, `subgrassmannian_span` and `span_unit_rows` build the
 coordinate points of a monomial certificate and the unit rows of a
@@ -81,11 +81,20 @@ def rank_mod_p_reference(mat, p: int) -> int:
 
 
 def stacked_trial_rank(problem: SecantProblem, trial: int = 0) -> int:
-    """Rank mod p of the plain stack of tangent bases at all s points a
-    probe samples in `trial`; the problem must have no extra spans."""
+    """Rank mod p of the plain stack of tangent bases at the s points of
+    `trial`; the problem must have no extra spans.
+
+    Without constrained points the first m = min(s, (n+1) // (k+1)) points
+    are the coordinate planes W_j = {j(k+1), ..., j(k+1)+k} and the others
+    are sampled; constrained problems sample all s points.
+    """
     if problem.extra_spans:
         raise ValueError("extra spans enter a probe as counted columns, not rows")
-    return rank_mod_p(tangent_stack(_sample_points(problem, trial), problem.prime), problem.prime)
+    k, n = problem.k, problem.n
+    m = 0 if problem.point_constraints else min(problem.s, (n + 1) // (k + 1))
+    planes = [coordinate_point(k, n, range(j * (k + 1), (j + 1) * (k + 1))) for j in range(m)]
+    points = planes + _sample_points(problem, trial, m)
+    return rank_mod_p(tangent_stack(points, problem.prime), problem.prime)
 
 
 def maximal_minors_reference(mat, p: int) -> np.ndarray:

@@ -48,14 +48,20 @@ class TestCheck:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize(
-        "args",
-        [["check", "-k", "10", "-n", "30", "-s", "1"], ["scan", "-k", "2", "--n-from", "9", "--n-to", "100"]],
-        ids=["check", "scan"],
+        "args, bound",
+        [
+            (["check", "-k", "10", "-n", "30", "-s", "1"], "MAX_PROBE_ENTRIES"),
+            (["scan", "-k", "2", "--n-from", "9", "--n-to", "100"], "MAX_PROBE_ENTRIES"),
+            (["induction", "--n-max", "30000000"], "MAX_FORMULA_N"),
+            (["formulas", "--n-to", "30000000"], "MAX_FORMULA_N"),
+        ],
+        ids=["check", "scan", "induction", "formulas"],
     )
-    def test_oversized_problem_is_usage_error(self, tmp_path, args):
-        # Ambient C(31, 11) = 84 672 315 for check, and Gr(2,100) at s2 for
-        # scan.  Run under a 1 GiB address-space limit, so that a probe which
-        # did start would fail at once instead of filling memory.
+    def test_oversized_problem_is_usage_error(self, tmp_path, args, bound):
+        # Ambient C(31, 11) = 84 672 315 for check, Gr(2,100) at s2 for scan,
+        # and 3e7 values of n for the formula ranges.  Run under a 1 GiB
+        # address-space limit, so that work which did start would fail at
+        # once instead of filling memory.
         script = (
             "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
             "from grsecant.cli import main; main()"
@@ -67,7 +73,7 @@ class TestCheck:
         )
         assert result.returncode == 2
         assert result.stdout == ""
-        assert "too large" in result.stderr and "MAX_PROBE_ENTRIES" in result.stderr
+        assert "too large" in result.stderr and bound in result.stderr
         assert "Traceback" not in result.stderr
 
     def test_bad_prime(self, runner, tmp_path):
@@ -97,6 +103,34 @@ class TestCheck:
         assert record["command"] == "probe"
         assert record["result"]["verdict"] == "CertifiedExpected"
         assert record["result"]["achieved"] == 110
+
+    # The `result` of `--json check` at the default prime, byte for byte;
+    # elapsed_ms sits outside it.  The four defective cases and two probes
+    # that sample points (no monomial certificate exists for them): a change
+    # to how a probe picks or ranks its points must leave these records as
+    # they are.
+    PINNED_RESULTS = {
+        ("2", "6", "3"): '{"achieved": 34, "ambient": 35, "deficit": 1, "expected": 35, "k": 2, "n": 6, '
+        '"prime": 32003, "s": 3, "seed": 0, "trials": 3, "verdict": "InconclusiveDeficit"}',
+        ("3", "7", "3"): '{"achieved": 50, "ambient": 70, "deficit": 1, "expected": 51, "k": 3, "n": 7, '
+        '"prime": 32003, "s": 3, "seed": 0, "trials": 3, "verdict": "InconclusiveDeficit"}',
+        ("3", "7", "4"): '{"achieved": 64, "ambient": 70, "deficit": 4, "expected": 68, "k": 3, "n": 7, '
+        '"prime": 32003, "s": 4, "seed": 0, "trials": 3, "verdict": "InconclusiveDeficit"}',
+        ("2", "8", "4"): '{"achieved": 74, "ambient": 84, "deficit": 2, "expected": 76, "k": 2, "n": 8, '
+        '"prime": 32003, "s": 4, "seed": 0, "trials": 3, "verdict": "InconclusiveDeficit"}',
+        ("2", "9", "5"): '{"achieved": 110, "ambient": 120, "expected": 110, "k": 2, "n": 9, '
+        '"prime": 32003, "s": 5, "seed": 0, "trials": 1, "verdict": "CertifiedExpected"}',
+        ("3", "9", "6"): '{"achieved": 150, "ambient": 210, "expected": 150, "k": 3, "n": 9, '
+        '"prime": 32003, "s": 6, "seed": 0, "trials": 1, "verdict": "CertifiedExpected"}',
+    }
+
+    @pytest.mark.parametrize("k, n, s", sorted(PINNED_RESULTS), ids="-".join)
+    def test_probe_results_are_pinned(self, runner, tmp_path, k, n, s):
+        result = invoke(runner, tmp_path, "--json", "--second-prime", "46337", "check", "-k", k, "-n", n, "-s", s)
+        assert result.exit_code == 0
+        pinned = self.PINNED_RESULTS[k, n, s]
+        expected = [pinned, pinned.replace('"prime": 32003', '"prime": 46337')]
+        assert [json.dumps(json.loads(line)["result"], sort_keys=True) for line in result.stdout.splitlines()] == expected
 
 
 class TestCache:

@@ -9,7 +9,7 @@ from oracle import coordinate_point, full_frame, span_unit_rows, stacked_trial_r
 from grsecant import grassmann, terracini
 from grsecant.codes import monomial_certificate
 from grsecant.extalg import subset_rank
-from grsecant.fieldcore import DEFAULT_PRIME, GEMM_DEPTH, MAX_PRIME, SECOND_PRIME, inverse_mod_p, rank_mod_p
+from grsecant.fieldcore import DEFAULT_PRIME, MAX_PRIME, SECOND_PRIME, rank_mod_p
 from grsecant.grassmann import CoordinateSubspace, coordinate_tangent_columns, span_columns, tangent_space_dim
 from grsecant.induction import prop_a_supports
 from grsecant.terracini import (
@@ -158,8 +158,8 @@ class TestProbe:
 class TestTracedCallSites:
     """A probe reaches each layer through the module attribute that benchmarks/workloads.py patches.
 
-    The first m = min(s, (n+1) // (k+1)) points are moved to coordinate
-    planes and counted, so only the other s - m reach frame_rows; both
+    The first m = min(s, (n+1) // (k+1)) points are coordinate planes and
+    counted, so only the other s - m are sampled and reach frame_rows; both
     problems have s > m.
     """
 
@@ -198,7 +198,22 @@ class TestTracedCallSites:
         v = probe(problem, strategy)
         assert v.verdict.is_certified()
         assert {name for name in calls if calls[name]} == sites
-        assert calls["frame_rows"] == problem.s - min(problem.s, (problem.n + 1) // (problem.k + 1))
+        sampled = problem.s - min(problem.s, (problem.n + 1) // (problem.k + 1))
+        assert calls["frame_rows"] == calls["random_point"] == sampled
+
+
+class TestSampling:
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_point_streams_do_not_depend_on_first(self, constrained):
+        n = 11
+        L = CoordinateSubspace(n, tuple(range(4, n + 1)))
+        problem = SecantProblem(2, n, 6, seed=7, point_constraints=(L, None) * 3 if constrained else None)
+        for trial in range(2):
+            every = _sample_points(problem, trial)
+            for first in range(problem.s + 1):
+                rest = _sample_points(problem, trial, first)
+                assert len(rest) == problem.s - first
+                assert all(np.array_equal(a.rows, b.rows) for a, b in zip(rest, every[first:]))
 
 
 class TestTangentStack:
@@ -326,7 +341,8 @@ def _trial_rank(problem: SecantProblem) -> int:
 
 
 class TestCoordinateNormalisation:
-    """Moving a trial's first points to coordinate planes keeps its rank."""
+    """A trial's rank, with its first points taken as coordinate planes and
+    counted, is the elimination rank of the same points' plain stack."""
 
     PRIMES = (P, SECOND_PRIME, MAX_PRIME)
 
@@ -363,48 +379,6 @@ class TestCoordinateNormalisation:
             for constraints in [(L, M, N, None, L), (None, L, None, M, N, None), (N, N, N)]:
                 problem = SecantProblem(k, n, len(constraints), prime=p, seed=3, point_constraints=constraints)
                 assert _trial_rank(problem) == stacked_trial_rank(problem), (k, constraints)
-
-    @pytest.mark.parametrize("p", PRIMES)
-    def test_singular_prefix_falls_back_to_fewer_planes(self, p):
-        # Two 2-planes in one 4-dimensional support are not in direct sum,
-        # so only the first point moves.
-        k, n = 2, 9
-        W = CoordinateSubspace(n, (0, 1, 2, 3))
-        problem = SecantProblem(k, n, 4, prime=p, seed=5, point_constraints=(W, W, None, None))
-        points = [pt.rows for pt in _sample_points(problem, 0)]
-        counted, rest = terracini._to_coordinate_planes(points, p)
-        assert counted.sum() == tangent_space_dim(k, n)
-        assert len(rest) == 3
-        assert _trial_rank(problem) == stacked_trial_rank(problem)
-
-    @pytest.mark.parametrize("p", PRIMES)
-    def test_inverse_mod_p(self, p):
-        rng = np.random.default_rng(p)
-        for size in (1, 3, 10, 21, 31):
-            A = rng.integers(0, p, size=(size, size))
-            inverse = inverse_mod_p(A, p)
-            product = A.astype(object).dot(inverse.astype(object)) % p
-            assert np.array_equal(product, np.eye(size, dtype=np.int64)), size
-        A[1] = (3 * A[0]) % p
-        assert inverse_mod_p(A, p) is None
-
-    def test_inverse_refuses_more_rows_than_gemm_depth(self):
-        with pytest.raises(ValueError, match="GEMM_DEPTH"):
-            inverse_mod_p(np.eye(GEMM_DEPTH + 1, dtype=np.int64), P)
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_largest_accepted_problem_inverts_exactly(self, k):
-        # The change of basis has n+1 rows: the inverse is exact while
-        # n+1 <= GEMM_DEPTH, and R @ M in int64 while (n+1)(p-1)**2 < 2**63.
-        n = k + 1
-        while True:
-            try:
-                SecantProblem(k, n + 1, 1)
-            except ValueError:
-                break
-            n += 1
-        assert n + 1 <= GEMM_DEPTH
-        assert (n + 1) * (MAX_PRIME - 1) ** 2 < 2**63
 
 
 class TestSpecialization:
