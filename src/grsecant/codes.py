@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -71,6 +72,7 @@ def tre_construction(k: int, n: int, s: int) -> CodeSet:
     return CodeSet(n + 1, k + 1, words)
 
 
+@lru_cache(maxsize=None)
 def lexicode_greedy(length: int, weight: int, min_distance: int = 6) -> CodeSet:
     """Greedy code: scan weight-w supports in colex order, keep the compatible ones.
 
@@ -78,7 +80,8 @@ def lexicode_greedy(length: int, weight: int, min_distance: int = 6) -> CodeSet:
     a kept word, which one set of those subsets answers, so the scan is
     linear in the supports.  Deterministic by construction; usually below
     the true A(n, d, w) optimum, which is fine because we need certificates,
-    not optimal codes.
+    not optimal codes.  For k = 2 (weight 3, distance 6) it is exactly the
+    coordinate planes W_j = {3j, 3j+1, 3j+2}.  Computed once per argument.
     """
     if weight > length:
         raise ValueError("weight exceeds length")

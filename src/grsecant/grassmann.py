@@ -6,9 +6,10 @@ tangent space at a point is spanned by the wedges obtained by replacing one
 row with one basis vector; its dimension is (k+1)(n-k)+1.  frame_rows
 writes a basis of it (the Plücker row and the generators off one nonzero
 Plücker coordinate) into float64 rows, from maximal minors computed by
-row-by-row Laplace expansion.  Every point it is handed must have full
-rank mod p, as the sampled and demo points do.  A coordinate span is
-given by the Plücker coordinates it contains (span_columns), not by rows.
+row-by-row Laplace expansion, keeping only the columns its caller ranks.
+Every point it is handed must have full rank mod p, as the sampled and
+demo points do.  Coordinate spans and coordinate points are given by the
+Plücker coordinates they add (counted_columns), not by rows.
 """
 
 from __future__ import annotations
@@ -132,22 +133,23 @@ def maximal_minors_mod(mat: np.ndarray, p: int) -> np.ndarray:
     return minors
 
 
-def frame_rows(rows: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
+def frame_rows(rows: np.ndarray, p: int, out: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Write a basis of the tangent space at a point into rows of `out`, mod p.
 
-    `out` is float64 and zero in the rows written; the rows written are
-    returned as a view of it.  Generator (i, j) replaces point row v_i by
-    e_j; expanding along that row, its coordinate at a (k+1)-subset T with
-    j = T[a] is (-1)**(a+i) times the minor of the point without row i on
-    T minus T[a], and 0 when j is not in T.  The Plücker row
-    v_0 ^ ... ^ v_k comes first.  Let J be the subset of its first nonzero
-    coordinate.  Then {v_0..v_k} together with {e_j : j not in J} is a
-    basis of K^{n+1}, so a generator (i, j) with j in J is a multiple of
-    the Plücker row plus generators (i, j') with j' not in J.  The rows are
-    the Plücker row, then the generators (i, j) with j not in J, ordered by
-    i then j: (k+1)(n-k)+1 rows.  A point of rank below k+1 mod p has a
-    zero Plücker row and no such basis; it raises ValueError, with nothing
-    written.
+    Only the columns the mask `keep` marks are written, in order: the rows
+    are the full basis's [:, keep].  `out` is float64 and zero in the rows
+    written; those rows are returned as a view of it.  Generator (i, j)
+    replaces point row v_i by e_j; expanding along that row, its coordinate
+    at a (k+1)-subset T with j = T[a] is (-1)**(a+i) times the minor of the
+    point without row i on T minus T[a], and 0 when j is not in T.  The
+    Plücker row v_0 ^ ... ^ v_k comes first.  Let J be the subset of its
+    first nonzero coordinate.  Then {v_0..v_k} together with
+    {e_j : j not in J} is a basis of K^{n+1}, so a generator (i, j) with j
+    in J is a multiple of the Plücker row plus generators (i, j') with j'
+    not in J.  The rows are the Plücker row, then the generators (i, j)
+    with j not in J, ordered by i then j: (k+1)(n-k)+1 rows.  A point of
+    rank below k+1 mod p has a zero Plücker row and no such basis; it
+    raises ValueError, with nothing written.
     """
     rows = np.asarray(rows, dtype=np.int64) % p
     d, dim = rows.shape
@@ -159,18 +161,18 @@ def frame_rows(rows: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
     idx = _subset_array(dim, d)
     free = np.ones(dim, dtype=bool)
     free[idx[nz[0]]] = False
-    out[0] = plucker_row
+    out[0] = plucker_row[keep]
     nfree = dim - d
-    # Entries (T, a) of the table whose generator j = T[a] is written, and
-    # each one's value: minor T minus T[a] of row-deleted matrix i, negated
-    # when a+i is odd ([minors, -minors] holds both signs).
-    hit = free[idx].ravel().nonzero()[0]
+    # Entries (T, a) of the table whose generator j = T[a] is written at a
+    # kept T, and each one's value: minor T minus T[a] of row-deleted
+    # matrix i, negated when a+i is odd ([minors, -minors] holds both signs).
+    hit = (free[idx] & keep[:, None]).ravel().nonzero()[0]
     cols, a = np.divmod(hit, d)
     slot = (np.cumsum(free) - 1)[idx.ravel()[hit]]
     i = np.arange(d)[:, None]
     signed = np.concatenate([minors, (p - minors) % p], axis=1)
     src = _drop_table(dim, d).ravel()[hit] + minors.shape[1] * ((a + i) & 1)
-    out[1 + nfree * i + slot, cols] = signed[i, src]
+    out[1 + nfree * i + slot, (np.cumsum(keep) - 1)[cols]] = signed[i, src]
     return out[: 1 + d * nfree]
 
 
@@ -194,31 +196,19 @@ def random_point(
     raise RankDrop(f"no full-rank point after {MAX_SAMPLE_ATTEMPTS} attempts")
 
 
-def span_columns(spans: Sequence[CoordinateSubspace], dim: int, d: int) -> np.ndarray:
-    """Mask over the colex d-subsets of range(dim): those inside the support of some span.
+def counted_columns(dim: int, d: int, spans: Sequence[Sequence[int]] = (), planes: Sequence[Sequence[int]] = ()):
+    """Mask over the colex d-subsets T of range(dim) that coordinate structure adds.
 
-    The degree-d wedges on a coordinate span are spanned by the e_T with T
-    inside its support, so a span adds exactly these coordinates.
+    A span with support S adds the degree-d wedges on it, the e_T with
+    |T ∩ S| = d; the coordinate point e_W adds its tangent space, the e_T
+    with |T ∩ W| >= d-1 (one row of e_W replaced by a basis vector).  The
+    sets of different points may overlap (for d = 2 those of disjoint W do).
     """
     idx = _subset_array(dim, d)
     mask = np.zeros(len(idx), dtype=bool)
-    for span in spans:
-        mask |= np.isin(idx, span.support).all(axis=1)
+    for supports, least in ((spans, d), (planes, d - 1)):
+        for support in supports:
+            member = np.zeros(dim, dtype=bool)
+            member[list(support)] = True
+            mask |= member[idx].sum(axis=1) >= least
     return mask
-
-
-def coordinate_tangent_columns(m: int, dim: int, d: int) -> np.ndarray:
-    """Mask over the colex d-subsets of range(dim): those T meeting some
-    W_j = {jd, ..., jd+d-1}, j < m, in at least d-1 elements.
-
-    The tangent space to the cone over the Grassmannian at the coordinate
-    point e_W is spanned by the e_T with |T ∩ W| >= d-1 (replace one row of
-    e_W by a basis vector), so m coordinate points add exactly these
-    coordinates.  For d = 2 the sets of different W_j overlap.  T is
-    sorted, so d-1 of its elements in one W_j are its first or its last
-    d-1.
-    """
-    block = _subset_array(dim, d) // d
-    first = (block[:, 0] == block[:, d - 2]) & (block[:, 0] < m)
-    last = (block[:, 1] == block[:, d - 1]) & (block[:, 1] < m)
-    return first | last

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .fieldcore import DEFAULT_PRIME
 from .fieldcore import rank_mod_p  # noqa: F401  the benchmark's traced run patches induction.rank_mod_p
-from .grassmann import CoordinateSubspace, span_columns
+from .grassmann import CoordinateSubspace, counted_columns
 from .terracini import (
     DEFAULT_TRIALS,
     SecantProblem,
@@ -268,7 +268,7 @@ def check_prop_a(
     spans = (L, M, N)
     constraints: list[CoordinateSubspace | None] = [L] * 4 + [M] * 4 + [N] * 4
     achieved = _achieved_rank("a", n, None, spans, constraints, prime, seed, trials)
-    return _base_case("a", n, None, achieved, int(span_columns(spans, n + 1, 3).sum()))
+    return _base_case("a", n, None, achieved, int(counted_columns(n + 1, 3, [s.support for s in spans]).sum()))
 
 
 def check_prop_b(

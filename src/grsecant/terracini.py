@@ -10,24 +10,24 @@ falling short is only circumstantial evidence of a defect, so such
 verdicts are inconclusive and retried with fresh seeds.
 
 Coordinate structure is counted, not eliminated.  A coordinate span adds
-exactly the Plücker coordinates inside its support; against those unit
-vectors the rank is their number plus the rank of the tangent rows with
-those columns deleted (a Schur complement, exact over every field).  A
-monomial certificate (codes.monomial_certificate) names s coordinate
-points whose tangent spaces are spanned by disjoint sets of unit vectors,
-so its rank is s·((k+1)(n-k)+1) with no stack at all.
-
-Coordinate structure is also chosen.  The stack rank is the dimension of
-the span of the tangent spaces at s general points (Terracini's lemma),
-and GL(n+1) moves any m <= (n+1)/(k+1) (k+1)-planes in direct sum to the
-coordinate planes W_j = {j(k+1), ..., j(k+1)+k}.  So an unconstrained
-probe takes W_0..W_{m-1} as its first m points, counts their tangent
-columns (the e_T with |T ∩ W_j| >= k) and samples only the other s - m
-points, whose rows are stacked with those columns deleted.  For a fixed
-invertible M a uniform random matrix R and RM have the same law, so each
-trial's rank has the law it would have at s sampled points, and any
-configuration reaching the expected rank certifies it.  Problems with
-constrained points or extra spans sample every point.
+exactly the Plücker coordinates inside its support, and a coordinate point
+e_W exactly the e_T with |T ∩ W| >= k; against those unit vectors the rank
+is their number plus the rank of the other tangent rows with those columns
+deleted (a Schur complement, exact over every field).  So every probe
+counts one column mask (grassmann.counted_columns) and ranks the sampled
+rest, written only at the columns left.  Its coordinate points are the
+words of a monomial certificate (codes.monomial_certificate), which meet
+in at most k-2 indices, so their tangent columns are disjoint and the
+count alone reaches s·((k+1)(n-k)+1) (overlapping ones would fall short).
+Otherwise the stack rank is the dimension of the span of the tangent
+spaces at s general points (Terracini's lemma), and GL(n+1) moves any
+m <= (n+1)/(k+1) (k+1)-planes in direct sum to the coordinate planes
+W_j = {j(k+1), ..., j(k+1)+k}, so an unconstrained probe takes
+W_0..W_{m-1} as its first m points and samples only the other s - m.
+For a fixed invertible M a uniform random matrix R and RM have the same
+law, so each trial's rank has the law it would have at s sampled points,
+and any configuration reaching the expected rank certifies it.  Problems
+with constrained points or extra spans sample every point.
 
 The verdict is derived from the ranks in one place, `Verdict.of`.  A
 cached probe record is replayed only if `replays` rebuilds the same record
@@ -49,10 +49,9 @@ from .fieldcore import BLOCK_ROWS, DEFAULT_PRIME, rank_mod_p, validate_prime
 from .grassmann import (
     CoordinateSubspace,
     GrassPoint,
-    coordinate_tangent_columns,
+    counted_columns,
     frame_rows,
     random_point,
-    span_columns,
     tangent_space_dim,
 )
 
@@ -64,7 +63,7 @@ AUTO_CERTIFICATE_AMBIENT_LIMIT = 200_000
 
 # Most 8-byte entries (1 GiB) a probe may hold at once; larger problems are
 # refused before any table or stack is built.  Gr(2,30) at s2(30) = 57
-# needs about 64 M (_probe_entries).
+# needs about 42 M (_probe_entries); s = 297 is the largest accepted there.
 MAX_PROBE_ENTRIES = 2**27
 
 
@@ -106,10 +105,10 @@ def _probe_entries(k: int, n: int, rows: int) -> int:
 
     That is the int64 minor tables of every size t <= k+1 (the subset and
     drop tables, the expansion's products and frame_rows' signed minors,
-    4 t C(n+1, t) entries in all) and, in float64, the tangent stack, its
-    copy without the counted columns, the rank kernel's basis E and its
-    scratch.  Extra spans and coordinate planes add no rows: their columns
-    are counted.  The count stops as soon as the tables pass
+    4 t C(n+1, t) entries in all) and, in float64, the tangent stack
+    (written at most C(n+1, k+1) columns wide), the rank kernel's basis E
+    and its scratch.  Extra spans and coordinate planes add no rows: their
+    columns are counted.  The count stops as soon as the tables pass
     MAX_PROBE_ENTRIES, so a huge problem costs no huge binomial.
     """
     dim = n + 1
@@ -120,7 +119,7 @@ def _probe_entries(k: int, n: int, rows: int) -> int:
         tables += 4 * t * c
         if tables > MAX_PROBE_ENTRIES:
             return tables
-    return tables + (2 * rows + min(rows, c) + 2 * BLOCK_ROWS) * c
+    return tables + (rows + min(rows, c) + 2 * BLOCK_ROWS) * c
 
 
 @dataclass(frozen=True)
@@ -218,45 +217,48 @@ def _sample_points(problem: SecantProblem, trial: int, first: int = 0) -> list[G
     ]
 
 
-def tangent_stack(points: Sequence[GrassPoint], p: int) -> np.ndarray:
+def tangent_stack(points: Sequence[GrassPoint], p: int, keep: np.ndarray | None = None) -> np.ndarray:
     """A tangent-space basis at each point, as one float64 stack mod p.
 
-    Each point writes exactly tangent_space_dim(k, n) rows, so the stack is
-    allocated once at its final size and filled in order.
+    Each point writes exactly tangent_space_dim(k, n) rows at the columns
+    `keep` marks (all by default), so the stack is allocated once at the
+    size it is ranked and filled in order.
     """
     k, n = points[0].k, points[0].n
-    stack = np.zeros((len(points) * tangent_space_dim(k, n), math.comb(n + 1, k + 1)))
+    if keep is None:
+        keep = np.ones(math.comb(n + 1, k + 1), dtype=bool)
+    stack = np.zeros((len(points) * tangent_space_dim(k, n), int(keep.sum())))
     filled = 0
     for pt in points:
-        filled += len(frame_rows(pt.rows, p, stack[filled:]))
+        filled += len(frame_rows(pt.rows, p, stack[filled:], keep))
     return stack
 
 
-def _has_certificate(problem: SecantProblem) -> bool:
-    """Whether a monomial certificate covers the problem's s points."""
+def _certificate(problem: SecantProblem) -> tuple[tuple[int, ...], ...] | None:
+    """The supports of s coordinate points from a monomial certificate, or None."""
     if problem.k < 2 or problem.point_constraints or problem.extra_spans:
-        return False
+        return None
     if problem.s * tangent_space_dim(problem.k, problem.n) > problem.ambient:
-        return False
-    return codes.monomial_certificate(problem.k, problem.n, problem.s) is not None
+        return None
+    code = codes.monomial_certificate(problem.k, problem.n, problem.s)
+    return None if code is None else code.words[: problem.s]
 
 
 def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | None = None) -> SpanVerdict:
     """Run the prober; `strategy` is one of random, monomial, auto.
 
-    Under monomial, and under auto for an ambient dimension up to
-    AUTO_CERTIFICATE_AMBIENT_LIMIT, a monomial certificate gives the rank
-    s·((k+1)(n-k)+1) by counting, in one trial, with no point sampled.
-    Otherwise each trial ranks the tangent stack at s points.  Without
-    constrained points or extra spans the first m = min(s, (n+1) // (k+1))
-    points are the coordinate planes W_j: their tangent columns are
-    counted, and only points m..s-1 are sampled and stacked, with those
-    columns deleted.  When s = m no stack is built.
+    The first points are coordinate points: under monomial, and under auto
+    for an ambient dimension up to AUTO_CERTIFICATE_AMBIENT_LIMIT, the s
+    words of a monomial certificate (CertificateUnavailable under monomial
+    without one); otherwise, without constrained points or extra spans,
+    the planes W_0..W_{m-1}, m = min(s, (n+1) // (k+1)); else none.  Each
+    trial's rank is the count of the columns they and the extra spans add
+    plus the rank of the tangent stack at the sampled points first..s-1,
+    written without those columns; a certificate needs no stack and one
+    trial.
 
     A problem with extra spans is a specialization: each constrained point
-    must lie in one of the spans.  Each trial's rank is the number of
-    Plücker coordinates inside the spans plus the rank of the tangent stack
-    with those columns deleted, and ambient - achieved counts the
+    must lie in one of the spans, and ambient - achieved counts the
     hyperplanes through the whole configuration.
     """
     if strategy not in ("random", "monomial", "auto"):
@@ -270,28 +272,25 @@ def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | N
     if not 0 <= expected <= ambient:
         raise ValueError(f"target rank {expected} out of range [0, {ambient}]")
 
-    if strategy == "monomial" or (strategy == "auto" and ambient <= AUTO_CERTIFICATE_AMBIENT_LIMIT):
-        if _has_certificate(problem):
-            return SpanVerdict(problem, problem.s * tangent_space_dim(problem.k, problem.n), expected, 1)
+    dim, d = problem.n + 1, problem.k + 1
+    certify = strategy == "monomial" or (strategy == "auto" and ambient <= AUTO_CERTIFICATE_AMBIENT_LIMIT)
+    planes = _certificate(problem) if certify else None
+    if planes is None:
         if strategy == "monomial":
             raise CertificateUnavailable(
                 f"no monomial certificate for (k={problem.k}, n={problem.n}, s={problem.s})"
             )
-
-    dim, d = problem.n + 1, problem.k + 1
-    if problem.point_constraints or problem.extra_spans:
-        first = 0
-        counted = span_columns(problem.extra_spans, dim, d)
-    else:
-        first = min(problem.s, dim // d)
-        counted = coordinate_tangent_columns(first, dim, d)
+        constrained = problem.point_constraints or problem.extra_spans
+        planes = () if constrained else [range(j * d, j * d + d) for j in range(min(problem.s, dim // d))]
+    counted = counted_columns(dim, d, [span.support for span in problem.extra_spans], planes)
+    first = len(planes)
     best = 0
     trials_used = 0
     for trial in range(problem.trials):
         rank = int(counted.sum())
         if first < problem.s:
-            stack = tangent_stack(_sample_points(problem, trial, first), problem.prime)
-            rank += rank_mod_p(stack[:, ~counted] if counted.any() else stack, problem.prime)
+            stack = tangent_stack(_sample_points(problem, trial, first), problem.prime, ~counted)
+            rank += rank_mod_p(stack, problem.prime)
         trials_used = trial + 1
         best = max(best, rank)
         if best >= expected:

@@ -105,10 +105,11 @@ class TestCheck:
         assert record["result"]["achieved"] == 110
 
     # The `result` of `--json check` at the default prime, byte for byte;
-    # elapsed_ms sits outside it.  The four defective cases and two probes
-    # that sample points (no monomial certificate exists for them): a change
-    # to how a probe picks or ranks its points must leave these records as
-    # they are.
+    # elapsed_ms sits outside it.  The four defective cases, two probes that
+    # sample points (no monomial certificate exists for them), two lexicode
+    # certificates counted in one trial, and the k = 1 deficit whose
+    # coordinate planes share tangent columns: a change to how a probe picks,
+    # counts or ranks its points must leave these records as they are.
     PINNED_RESULTS = {
         ("2", "6", "3"): '{"achieved": 34, "ambient": 35, "deficit": 1, "expected": 35, "k": 2, "n": 6, '
         '"prime": 32003, "s": 3, "seed": 0, "trials": 3, "verdict": "InconclusiveDeficit"}',
@@ -122,6 +123,12 @@ class TestCheck:
         '"prime": 32003, "s": 5, "seed": 0, "trials": 1, "verdict": "CertifiedExpected"}',
         ("3", "9", "6"): '{"achieved": 150, "ambient": 210, "expected": 150, "k": 3, "n": 9, '
         '"prime": 32003, "s": 6, "seed": 0, "trials": 1, "verdict": "CertifiedExpected"}',
+        ("3", "9", "5"): '{"achieved": 125, "ambient": 210, "expected": 125, "k": 3, "n": 9, '
+        '"prime": 32003, "s": 5, "seed": 0, "trials": 1, "verdict": "CertifiedExpected"}',
+        ("4", "12", "6"): '{"achieved": 246, "ambient": 1287, "expected": 246, "k": 4, "n": 12, '
+        '"prime": 32003, "s": 6, "seed": 0, "trials": 1, "verdict": "CertifiedExpected"}',
+        ("1", "9", "4"): '{"achieved": 44, "ambient": 45, "deficit": 1, "expected": 45, "k": 1, "n": 9, '
+        '"prime": 32003, "s": 4, "seed": 0, "trials": 3, "verdict": "InconclusiveDeficit"}',
     }
 
     @pytest.mark.parametrize("k, n, s", sorted(PINNED_RESULTS), ids="-".join)

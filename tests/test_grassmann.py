@@ -28,10 +28,14 @@ from grsecant.grassmann import (
 P = DEFAULT_PRIME
 
 
+def all_columns(d, dim):
+    return np.ones(math.comb(dim, d), dtype=bool)
+
+
 def basis_rows(rows, p):
     """The rows frame_rows writes for a point, into a buffer with room for its whole frame."""
     d, dim = np.shape(rows)
-    return frame_rows(rows, p, np.zeros((d * dim, math.comb(dim, d))))
+    return frame_rows(rows, p, np.zeros((d * dim, math.comb(dim, d))), all_columns(d, dim))
 
 
 class TestGrassPoint:
@@ -157,9 +161,15 @@ class TestTangentBasisRows:
             keep = [i * dim + j for i in range(d) for j in range(dim) if j not in J]
             expected = np.vstack([plucker_row[None], frame[keep]])
             out = np.zeros((d * dim + 2, math.comb(dim, d)))
-            basis = frame_rows(pt.rows, p, out)
+            basis = frame_rows(pt.rows, p, out, all_columns(d, dim))
             assert basis.dtype == np.float64 and np.shares_memory(basis, out)
             assert np.array_equal(basis, expected)
+            assert not out[len(basis) :].any()
+            # With a mask, only the kept columns are written, in order.
+            kept = np.random.default_rng([k, n, p]).random(expected.shape[1]) < 0.5
+            out = np.zeros((d * dim + 2, int(kept.sum())))
+            basis = frame_rows(pt.rows, p, out, kept)
+            assert np.array_equal(basis, expected[:, kept])
             assert not out[len(basis) :].any()
 
     def test_point_rank_deficient_mod_p_keeps_whole_frame(self):
@@ -170,7 +180,7 @@ class TestTangentBasisRows:
                 d, dim = np.shape(rows)
                 out = np.zeros((d * dim, math.comb(dim, d)))
                 with pytest.raises(ValueError):
-                    frame_rows(np.array(rows), p, out)
+                    frame_rows(np.array(rows), p, out, all_columns(d, dim))
                 assert not out.any()
 
     def test_int64_bound(self):

@@ -4,13 +4,20 @@ import math
 
 import numpy as np
 import pytest
-from oracle import coordinate_point, full_frame, span_unit_rows, stacked_trial_rank, subgrassmannian_span
+from oracle import (
+    coordinate_point,
+    full_frame,
+    monomial_tangent_basis,
+    span_unit_rows,
+    stacked_trial_rank,
+    subgrassmannian_span,
+)
 
 from grsecant import grassmann, terracini
 from grsecant.codes import monomial_certificate
 from grsecant.extalg import subset_rank
 from grsecant.fieldcore import DEFAULT_PRIME, MAX_PRIME, SECOND_PRIME, rank_mod_p
-from grsecant.grassmann import CoordinateSubspace, coordinate_tangent_columns, span_columns, tangent_space_dim
+from grsecant.grassmann import CoordinateSubspace, counted_columns, tangent_space_dim
 from grsecant.induction import prop_a_supports
 from grsecant.terracini import (
     CertificateUnavailable,
@@ -44,15 +51,16 @@ class TestExpectedDim:
 class TestProblemSize:
     def test_large_supported_problems_admitted(self):
         # Construction only: Gr(2,30) at s2(30) = 57 and the largest benchmark probes.
-        for k, n, s in [(2, 30, 57), (2, 24, 38), (2, 20, 27), (4, 14, 6)]:
+        # (2, 30, 297) is the largest s admitted at Gr(2,30): the stack is counted once.
+        for k, n, s in [(2, 30, 57), (2, 24, 38), (2, 20, 27), (4, 14, 6), (2, 30, 297)]:
             SecantProblem(k, n, s)
         L = CoordinateSubspace(30, tuple(range(6, 31)))
         SecantProblem(2, 30, 20, point_constraints=(L,) * 20, extra_spans=(L,))
 
     @pytest.mark.parametrize(
         "k, n, s",
-        [(10, 30, 1), (4, 30, 40), (28, 30, 1), (1, 10**9, 1), (10**6, 10**9, 1), (2, 30, 10**12)],
-        ids=["ambient", "stack", "minor-tables", "huge-n", "huge-k", "huge-s"],
+        [(10, 30, 1), (4, 30, 40), (28, 30, 1), (1, 10**9, 1), (10**6, 10**9, 1), (2, 30, 10**12), (2, 30, 298)],
+        ids=["ambient", "stack", "minor-tables", "huge-n", "huge-k", "huge-s", "stack-edge"],
     )
     def test_oversized_problem_refused_before_allocating(self, k, n, s):
         with pytest.raises(ValueError, match="MAX_PROBE_ENTRIES"):
@@ -233,6 +241,9 @@ class TestTangentStack:
         stack = tangent_stack(points, problem.prime)
         assert stack.shape == (len(points) * tangent_space_dim(k, n), problem.ambient)
         assert stack.any(axis=1).all()
+        # Written at the width it is ranked: the full stack's kept columns.
+        for keep in (~counted_columns(n + 1, k + 1, planes=[range(k + 1)]), np.arange(problem.ambient) % 3 == 1):
+            assert np.array_equal(tangent_stack(points, problem.prime, keep), stack[:, keep])
 
 
 class TestStrategies:
@@ -308,16 +319,22 @@ class TestCountedRanks:
                 continue
             points = [coordinate_point(k, n, w) for w in cert.words[:s]]
             assert rank_mod_p(tangent_stack(points, P), P) == s * tangent_space_dim(k, n), (k, n, s)
+            assert counted_columns(n + 1, k + 1, planes=cert.words[:s]).sum() == s * tangent_space_dim(k, n)
             counted += 1
         assert counted > 50
 
     @pytest.mark.parametrize("spans", list(_prop_supports()), ids=lambda spans: f"n{spans[0].n}-{len(spans)}spans")
     def test_span_columns_are_the_span_basis(self, spans):
         n = spans[0].n
-        mask = span_columns(spans, n + 1, 3)
+        supports = [span.support for span in spans]
+        mask = counted_columns(n + 1, 3, supports)
         assert mask.shape == (math.comb(n + 1, 3),)
         ranks = {subset_rank(t) for span in spans for t in subgrassmannian_span(span, 3)}
         assert set(mask.nonzero()[0].tolist()) == ranks
+        # With a coordinate point beside the spans, its tangent columns join them.
+        both = counted_columns(n + 1, 3, supports, planes=[(0, 1, 2)])
+        plane = {subset_rank(t) for t in monomial_tangent_basis((0, 1, 2), 2, n)}
+        assert set(both.nonzero()[0].tolist()) == ranks | plane
 
     @pytest.mark.parametrize("p", [P, SECOND_PRIME])
     @pytest.mark.parametrize("n, free", [(9, 2), (10, 3), (11, 4), (12, 4)])
@@ -361,9 +378,13 @@ class TestCoordinateNormalisation:
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_k1_overlapping_tangent_columns(self, p):
-        # For k = 1 the coordinate tangent sets of two planes share the
-        # columns {a, b} with a in one plane and b in the other.
-        assert coordinate_tangent_columns(4, 10, 2).sum() == 44 < 4 * tangent_space_dim(1, 9)
+        # Two words meeting in k-1 indices share the tangent columns made of
+        # their meet, one index of each word outside it and nothing else: for
+        # k = 1 (disjoint planes) the columns {a, b} with a in one plane and b
+        # in the other.
+        assert counted_columns(10, 2, planes=[(0, 1), (2, 3), (4, 5), (6, 7)]).sum() == 44 < 4 * tangent_space_dim(1, 9)
+        for k, words in [(2, [(0, 1, 2), (2, 3, 4)]), (3, [(0, 1, 2, 3), (2, 3, 4, 5)])]:
+            assert counted_columns(10, k + 1, planes=words).sum() == 2 * tangent_space_dim(k, 9) - 2 * 2
         assert _trial_rank(SecantProblem(1, 9, 4, prime=p)) == 44
         for n, s in [(9, 3), (9, 4), (9, 6), (11, 3), (11, 7), (12, 5), (12, 8)]:
             problem = SecantProblem(1, n, s, prime=p, seed=1)
