@@ -24,6 +24,7 @@ from .extalg import parse_tensor
 from .fieldcore import DEFAULT_PRIME, KERNEL, validate_prime
 from .gr26 import classify, demo_gr28, demo_gr37, figure1_table, five_term_identity
 from .terracini import (
+    DEFAULT_TRIALS,
     CertificateUnavailable,
     SecantProblem,
     Verdict,
@@ -129,7 +130,7 @@ def _probe_record(config: RunConfig, problem: SecantProblem, strategy: str) -> d
 @click.option("--prime", type=int, default=DEFAULT_PRIME, show_default=True, help="Field characteristic.")
 @click.option("--second-prime", type=int, default=None, help="Re-run verdicts at a second prime.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Base seed for random points.")
-@click.option("--trials", type=int, default=3, show_default=True, help="Retry budget per probe.")
+@click.option("--trials", type=int, default=DEFAULT_TRIALS, show_default=True, help="Retry budget per probe.")
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON records instead of text.")
 @click.option("--no-cache", is_flag=True, help="Recompute even if a cached record exists.")
 @click.option("--cache-dir", type=click.Path(path_type=Path), default=None, help="Cache directory.")

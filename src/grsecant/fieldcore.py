@@ -188,7 +188,17 @@ def _eliminate_block(B: np.ndarray, E: np.ndarray, r: int, p: int, work: np.ndar
     return found
 
 
-def rank_mod_p(mat, p: int = DEFAULT_PRIME) -> int:
+class Echelon:
+    """rank_mod_p's state: the basis E[:rank] of at most `rows` rows `ncols` wide, pivots, blocks and scratch."""
+
+    def __init__(self, ncols: int, rows: int, p: int):
+        size = min(rows, ncols)
+        self.p, self.rank, self.blocks = p, 0, []
+        self.E, self.pivots = np.empty((size, ncols)), np.empty(size, dtype=np.intp)
+        self.work = np.empty((2, min(rows, BLOCK_ROWS), ncols))
+
+
+def rank_mod_p(mat, p: int = DEFAULT_PRIME, basis: Echelon | None = None) -> int:
     """Rank of an integer matrix over GF(p), for 1 < p <= MAX_PRIME.
 
     Blocked incremental echelon form: the basis E grows one block of
@@ -198,7 +208,7 @@ def rank_mod_p(mat, p: int = DEFAULT_PRIME) -> int:
     back-substituted, so E is block triangular: each block is the identity
     on its own pivot columns and zero on those of earlier blocks.  E and the
     scratch space are allocated once, and every other temporary has at most
-    BLOCK_ROWS rows.
+    BLOCK_ROWS rows.  Given a `basis`, the rows join it and its rank returns.
     """
     if not 1 < p <= MAX_PRIME:
         raise ValueError(f"modulus {p} outside (1, MAX_PRIME={MAX_PRIME}]; float64 elimination would not be exact")
@@ -206,11 +216,10 @@ def rank_mod_p(mat, p: int = DEFAULT_PRIME) -> int:
     if A.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     m, n = A.shape
-    E = np.empty((min(m, n), n))
-    pivots = np.empty(min(m, n), dtype=np.intp)
-    work = np.empty((2, min(m, BLOCK_ROWS), n))
-    blocks: list[tuple[int, int]] = []
-    r = 0
+    basis = Echelon(n, m, p) if basis is None else basis
+    if (basis.E.shape[1], basis.p) != (n, p):
+        raise ValueError(f"rows of width {n} mod {p} added to a basis of width {basis.E.shape[1]} mod {basis.p}")
+    E, pivots, work, blocks, r = basis.E, basis.pivots, basis.work, basis.blocks, basis.rank
     for lo in range(0, m, BLOCK_ROWS):
         if r == n:
             break
@@ -222,6 +231,7 @@ def rank_mod_p(mat, p: int = DEFAULT_PRIME) -> int:
         blocks.append((r, r + len(found)))
         pivots[r : r + len(found)] = found
         r += len(found)
+    basis.rank = r
     return r
 
 

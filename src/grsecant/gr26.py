@@ -17,9 +17,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .extalg import Multivector, pairing_matrix, wedge_vectors
-from .fieldcore import DEFAULT_PRIME, det_exact, integer_cube_root_signed, rank_det_exact, rank_exact, rank_mod_p
+from .fieldcore import DEFAULT_PRIME, Echelon, det_exact, integer_cube_root_signed, rank_det_exact, rank_exact, rank_mod_p
 from .grassmann import GrassPoint, pluecker, tangent_space_dim
-from .terracini import tangent_stack
+from .terracini import rank_points
 
 RANK_GRASSMANNIAN = 6
 RANK_SIGMA2 = 12
@@ -201,14 +201,16 @@ class DemoReport:
         }
 
 
-def _span_check(points: list[GrassPoint], images: list[Multivector], p: int) -> tuple[int, int]:
-    """The dimension the images span mod p, and the rank of the tangent stack at `points` with them.
+def _span_check(points: list[GrassPoint], images: list[Multivector], p: int) -> tuple[int, int, int]:
+    """The rank mod p of the tangent spaces at `points`, the dimension the images span, and the rank of both.
 
-    The images lie in the span of the tangent spaces exactly when that rank
-    equals the stack's rank without them.
+    The tangent spaces and then the images join one basis.  The images lie
+    in the span of the tangent spaces exactly when the last rank is the first.
     """
     rows = np.array([img.dense(p) for img in images])
-    return rank_mod_p(rows, p), rank_mod_p(np.vstack([rows, tangent_stack(points, p)]), p)
+    basis = Echelon(rows.shape[1], len(points) * tangent_space_dim(points[0].k, points[0].n) + len(rows), p)
+    tangent = rank_points(points, p, basis, np.ones(rows.shape[1], dtype=bool))
+    return tangent, rank_mod_p(rows, p), rank_mod_p(rows, p, basis)
 
 
 def _tangent_span_demo(name: str, want: int, variety: str, anchors, samples, sample_noun: str, p: int) -> DemoReport:
@@ -226,12 +228,11 @@ def _tangent_span_demo(name: str, want: int, variety: str, anchors, samples, sam
     def image(params) -> Multivector:
         return wedge_vectors(np.hstack([c * np.eye(k + 1, dtype=np.int64) for c in params]).tolist(), n + 1)
 
-    achieved = rank_mod_p(tangent_stack(points, p), p)
     checks = []
     for params, pt in anchors:
         ok = rank_exact([image(params).dense(), pluecker(pt).dense()]) <= 1  # proportional
         checks.append(f"{variety}({','.join(map(str, params))}) matches anchor point: {ok}")
-    span, rank = _span_check(points, [image(params) for params in samples], p)
+    achieved, span, rank = _span_check(points, [image(params) for params in samples], p)
     in_span = span == len(samples) and rank == achieved
     checks.append(f"{len(samples)} {sample_noun} span {span} dimensions, tangent-stack rank with them {rank}: {in_span}")
     passed = achieved == want and all(c.endswith("True") for c in checks)

@@ -5,7 +5,7 @@ vector, so that its tangent space can be generated from it.  The affine
 tangent space at a point is spanned by the wedges obtained by replacing one
 row with one basis vector; its dimension is (k+1)(n-k)+1.  frame_rows
 writes a basis of it (the Plücker row and the generators off one nonzero
-Plücker coordinate) into float64 rows, from maximal minors computed by
+Plücker coordinate) into a zeroed float64 frame, from maximal minors by
 row-by-row Laplace expansion, keeping only the columns its caller ranks.
 Every point it is handed must have full rank mod p, as the sampled and
 demo points do.  Coordinate spans and coordinate points are given by the

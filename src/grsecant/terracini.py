@@ -1,13 +1,13 @@
-"""Secant-dimension probes for Gr(k,n) by stacked tangent frames over GF(p).
+"""Secant-dimension probes for Gr(k,n) by tangent frames over GF(p).
 
 A probe takes s points (random ones, and coordinate planes where it may;
-see below), stacks a basis of the affine tangent space at each point (the
-Plücker row plus (k+1)(n-k) tangent-frame generators, written by
-grassmann.frame_rows straight into one float64 stack), and compares the
-GF(p) rank of the stack with the expected affine dimension.  Hitting the
-expectation is a valid characteristic-0 certificate by semicontinuity;
-falling short is only circumstantial evidence of a defect, so such
-verdicts are inconclusive and retried with fresh seeds.
+see below), adds a basis of the affine tangent space at each point (the
+Plücker row plus (k+1)(n-k) tangent-frame generators, framed by
+grassmann.frame_rows) to one GF(p) basis, drawing no point once it spans
+every column, and compares its rank with the expected affine dimension.
+Hitting the expectation is a valid characteristic-0 certificate by
+semicontinuity; falling short is only circumstantial evidence of a
+defect, so such verdicts are inconclusive and retried with fresh seeds.
 
 Coordinate structure is counted, not eliminated.  A coordinate span adds
 exactly the Plücker coordinates inside its support, and a coordinate point
@@ -19,7 +19,7 @@ rest, written only at the columns left.  Its coordinate points are the
 words of a monomial certificate (codes.monomial_certificate), which meet
 in at most k-2 indices, so their tangent columns are disjoint and the
 count alone reaches s·((k+1)(n-k)+1) (overlapping ones would fall short).
-Otherwise the stack rank is the dimension of the span of the tangent
+Otherwise the rank is the dimension of the span of the tangent
 spaces at s general points (Terracini's lemma), and GL(n+1) moves any
 m <= (n+1)/(k+1) (k+1)-planes in direct sum to the coordinate planes
 W_j = {j(k+1), ..., j(k+1)+k}, so an unconstrained probe takes
@@ -40,12 +40,12 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import codes
-from .fieldcore import BLOCK_ROWS, DEFAULT_PRIME, rank_mod_p, validate_prime
+from .fieldcore import BLOCK_ROWS, DEFAULT_PRIME, Echelon, rank_mod_p, validate_prime
 from .grassmann import (
     CoordinateSubspace,
     GrassPoint,
@@ -62,7 +62,7 @@ DEFAULT_TRIALS = 3
 AUTO_CERTIFICATE_AMBIENT_LIMIT = 200_000
 
 # Most 8-byte entries (1 GiB) a probe may hold at once; larger problems are
-# refused before any table or stack is built.  Gr(2,30) at s2(30) = 57
+# refused before any table or basis is built.  Gr(2,30) at s2(30) = 57
 # needs about 42 M (_probe_entries); s = 297 is the largest accepted there.
 MAX_PROBE_ENTRIES = 2**27
 
@@ -81,7 +81,7 @@ class Verdict(str, enum.Enum):
 
     @classmethod
     def of(cls, achieved: int, expected: int, ambient: int) -> Verdict:
-        """The verdict of a stack rank: reaching the expected rank certifies
+        """The verdict of a probe's rank: reaching the expected rank certifies
         it, as CertifiedFills when that rank is the ambient dimension.
 
         Raises ValueError unless 0 <= achieved <= expected <= ambient.
@@ -101,13 +101,13 @@ def expected_affine_dim(k: int, n: int, s: int) -> int:
 
 
 def _probe_entries(k: int, n: int, rows: int) -> int:
-    """Upper bound on the 8-byte entries a probe with `rows` stack rows holds.
+    """Upper bound on the 8-byte entries a probe ranking `rows` frame rows holds.
 
     That is the int64 minor tables of every size t <= k+1 (the subset and
     drop tables, the expansion's products and frame_rows' signed minors,
-    4 t C(n+1, t) entries in all) and, in float64, the tangent stack
-    (written at most C(n+1, k+1) columns wide), the rank kernel's basis E
-    and its scratch.  Extra spans and coordinate planes add no rows: their
+    4 t C(n+1, t) entries in all) and, in float64, the frames a trial may
+    rank, the rank kernel's basis E and its scratch, at most C(n+1, k+1)
+    columns wide.  Extra spans and coordinate planes add no rows: their
     columns are counted.  The count stops as soon as the tables pass
     MAX_PROBE_ENTRIES, so a huge problem costs no huge binomial.
     """
@@ -157,7 +157,7 @@ class SecantProblem:
 
 @dataclass(frozen=True)
 class SpanVerdict:
-    """The best stack rank a probe reached; the verdict follows from the ranks.
+    """The best rank a probe reached; the verdict follows from the ranks.
 
     Reaching the expected rank certifies it, as CertifiedFills when that
     rank is the ambient dimension; falling short is InconclusiveDeficit.
@@ -203,35 +203,37 @@ class SpanVerdict:
 
 def _point_rng(problem: SecantProblem, trial: int, index: int) -> np.random.Generator:
     # The stream depends on the point index but not on s, so growing s keeps
-    # the earlier points fixed and stack ranks monotone for a fixed seed.
+    # the earlier points fixed and ranks monotone for a fixed seed.
     seed = problem.seed & (2**64 - 1)
     return np.random.default_rng([seed, problem.prime, problem.k, problem.n, trial, index])
 
 
-def _sample_points(problem: SecantProblem, trial: int, first: int = 0) -> list[GrassPoint]:
-    """The trial's points first..s-1; point i is drawn from its own stream."""
-    constraints = problem.point_constraints or (None,) * problem.s
-    return [
-        random_point(problem.k, problem.n, _point_rng(problem, trial, i), constraints[i], problem.prime)
-        for i in range(first, problem.s)
-    ]
+def rank_points(points: Iterable[GrassPoint], p: int, basis: Echelon, keep: np.ndarray) -> int:
+    """Add the tangent space at each point, at the columns `keep` marks, to `basis`.
 
-
-def tangent_stack(points: Sequence[GrassPoint], p: int, keep: np.ndarray | None = None) -> np.ndarray:
-    """A tangent-space basis at each point, as one float64 stack mod p.
-
-    Each point writes exactly tangent_space_dim(k, n) rows at the columns
-    `keep` marks (all by default), so the stack is allocated once at the
-    size it is ranked and filled in order.
+    Each point is framed into one reused frame, and the frames' rows join
+    the basis through a carry buffer in blocks of BLOCK_ROWS, as a stack of
+    all the frames would.  No further point is drawn once the basis spans
+    every column.  Returns the basis's rank.
     """
-    k, n = points[0].k, points[0].n
-    if keep is None:
-        keep = np.ones(math.comb(n + 1, k + 1), dtype=bool)
-    stack = np.zeros((len(points) * tangent_space_dim(k, n), int(keep.sum())))
+    width = basis.E.shape[1]
+    frame = carry = None
     filled = 0
     for pt in points:
-        filled += len(frame_rows(pt.rows, p, stack[filled:], keep))
-    return stack
+        if frame is None:
+            frame = np.empty((tangent_space_dim(pt.k, pt.n), width))
+            carry = np.empty((BLOCK_ROWS, width))
+        frame.fill(0)
+        rows = frame_rows(pt.rows, p, frame, keep)
+        while len(rows):
+            take = min(len(rows), BLOCK_ROWS - filled)
+            carry[filled : filled + take] = rows[:take]
+            rows, filled = rows[take:], filled + take
+            if filled == BLOCK_ROWS:
+                filled = 0
+                if rank_mod_p(carry, p, basis) == width:
+                    return width
+    return rank_mod_p(carry[:filled], p, basis) if filled else basis.rank
 
 
 def _certificate(problem: SecantProblem) -> tuple[tuple[int, ...], ...] | None:
@@ -253,9 +255,9 @@ def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | N
     without one); otherwise, without constrained points or extra spans,
     the planes W_0..W_{m-1}, m = min(s, (n+1) // (k+1)); else none.  Each
     trial's rank is the count of the columns they and the extra spans add
-    plus the rank of the tangent stack at the sampled points first..s-1,
-    written without those columns; a certificate needs no stack and one
-    trial.
+    plus the rank of the tangent spaces at the points first..s-1, drawn
+    one at a time and framed without those columns (rank_points); a
+    certificate draws no point and needs one trial.
 
     A problem with extra spans is a specialization: each constrained point
     must lie in one of the spans, and ambient - achieved counts the
@@ -284,13 +286,17 @@ def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | N
         planes = () if constrained else [range(j * d, j * d + d) for j in range(min(problem.s, dim // d))]
     counted = counted_columns(dim, d, [span.support for span in problem.extra_spans], planes)
     first = len(planes)
+    count, keep = int(counted.sum()), ~counted
+    rows = (problem.s - first) * tangent_space_dim(problem.k, problem.n)
+    constraints = problem.point_constraints or (None,) * problem.s
     best = 0
     trials_used = 0
     for trial in range(problem.trials):
-        rank = int(counted.sum())
-        if first < problem.s:
-            stack = tangent_stack(_sample_points(problem, trial, first), problem.prime, ~counted)
-            rank += rank_mod_p(stack, problem.prime)
+        points = (
+            random_point(problem.k, problem.n, _point_rng(problem, trial, i), constraints[i], problem.prime)
+            for i in range(first, problem.s)
+        )
+        rank = count + rank_points(points, problem.prime, Echelon(ambient - count, rows, problem.prime), keep)
         trials_used = trial + 1
         best = max(best, rank)
         if best >= expected:

@@ -17,7 +17,9 @@ index replaced.
 
 `stacked_trial_rank` ranks by elimination the plain tangent stack at the
 s points of a probe trial: the coordinate planes whose tangent columns
-`terracini.probe` counts, then the points it samples.
+`terracini.probe` counts, then the points it samples.  It builds the stack
+with `tangent_stack` from the points `sample_points` draws, the whole-trial
+stack that `terracini.rank_points` replaced by one frame per point.
 
 `coordinate_point`, `subgrassmannian_span` and `span_unit_rows` build the
 coordinate points of a monomial certificate and the unit rows of a
@@ -45,9 +47,9 @@ import numpy as np
 
 from grsecant.extalg import Multivector, subset_rank, subsets_colex, wedge_vectors
 from grsecant.fieldcore import DEFAULT_PRIME, rank_mod_p
-from grsecant.grassmann import CoordinateSubspace, GrassPoint, RankDrop, tangent_space_dim
+from grsecant.grassmann import CoordinateSubspace, GrassPoint, RankDrop, frame_rows, random_point, tangent_space_dim
 from grsecant.induction import _require, points_kept_floor
-from grsecant.terracini import SecantProblem, _sample_points, tangent_stack
+from grsecant.terracini import SecantProblem, _point_rng
 
 
 def rank_mod_p_reference(mat, p: int) -> int:
@@ -80,6 +82,28 @@ def rank_mod_p_reference(mat, p: int) -> int:
     return r
 
 
+def sample_points(problem: SecantProblem, trial: int, first: int = 0) -> list[GrassPoint]:
+    """The trial's points first..s-1; point i is drawn from its own stream."""
+    constraints = problem.point_constraints or (None,) * problem.s
+    return [
+        random_point(problem.k, problem.n, _point_rng(problem, trial, i), constraints[i], problem.prime)
+        for i in range(first, problem.s)
+    ]
+
+
+def tangent_stack(points: Sequence[GrassPoint], p: int, keep: np.ndarray | None = None) -> np.ndarray:
+    """A tangent-space basis at each point, as one float64 stack mod p, at
+    the columns `keep` marks (all by default)."""
+    k, n = points[0].k, points[0].n
+    if keep is None:
+        keep = np.ones(math.comb(n + 1, k + 1), dtype=bool)
+    stack = np.zeros((len(points) * tangent_space_dim(k, n), int(keep.sum())))
+    filled = 0
+    for pt in points:
+        filled += len(frame_rows(pt.rows, p, stack[filled:], keep))
+    return stack
+
+
 def stacked_trial_rank(problem: SecantProblem, trial: int = 0) -> int:
     """Rank mod p of the plain stack of tangent bases at the s points of
     `trial`; the problem must have no extra spans.
@@ -93,7 +117,7 @@ def stacked_trial_rank(problem: SecantProblem, trial: int = 0) -> int:
     k, n = problem.k, problem.n
     m = 0 if problem.point_constraints else min(problem.s, (n + 1) // (k + 1))
     planes = [coordinate_point(k, n, range(j * (k + 1), (j + 1) * (k + 1))) for j in range(m)]
-    points = planes + _sample_points(problem, trial, m)
+    points = planes + sample_points(problem, trial, m)
     return rank_mod_p(tangent_stack(points, problem.prime), problem.prime)
 
 

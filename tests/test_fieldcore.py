@@ -11,6 +11,7 @@ from grsecant.fieldcore import (
     MAX_PRIME,
     SECOND_PRIME,
     SLICE_ROWS,
+    Echelon,
     NotACube,
     det_exact,
     integer_cube_root_signed,
@@ -60,6 +61,8 @@ class TestRankModP:
             assert 0 <= r <= min(m, n)
 
     def test_stacked_rank_bounds(self):
+        # Adding B to a basis holding A gives the rank of the stack [A; B],
+        # for every input form; deficient pairs share some of their rows.
         rng = np.random.default_rng(12)
         for _ in range(20):
             A = rng.integers(0, 50, size=(4, 6))
@@ -67,6 +70,24 @@ class TestRankModP:
             ra, rb = rank_mod_p(A), rank_mod_p(B)
             rs = rank_mod_p(np.vstack([A, B]))
             assert max(ra, rb) <= rs <= ra + rb
+        for p in (DEFAULT_PRIME, SECOND_PRIME):
+            for m, n in [(4, 6), (30, 20), (2 * BLOCK_ROWS + 5, 3 * BLOCK_ROWS)]:
+                A = _low_rank(rng, m, n, max(1, min(m, n) // 2), p)
+                B = np.vstack([A[::3], rng.integers(0, p, size=(m // 2, n))])
+                rs = rank_mod_p_reference(np.vstack([A, B]), p)
+                for dtype in ("int64", "float64", "object"):
+                    basis = Echelon(n, 2 * m, p)
+                    assert rank_mod_p(_as_dtype(A, dtype, p), p, basis) == rank_mod_p_reference(A, p)
+                    assert rank_mod_p(_as_dtype(B, dtype, p), p, basis) == rs == basis.rank
+
+    def test_basis_of_another_width_or_prime_refused(self):
+        basis = Echelon(6, 8, DEFAULT_PRIME)
+        rank_mod_p(np.eye(4, 6, dtype=np.int64), DEFAULT_PRIME, basis)
+        with pytest.raises(ValueError, match="width"):
+            rank_mod_p(np.eye(4, 5, dtype=np.int64), DEFAULT_PRIME, basis)
+        with pytest.raises(ValueError, match="width"):
+            rank_mod_p(np.eye(4, 6, dtype=np.int64), SECOND_PRIME, basis)
+        assert basis.rank == 4
 
     def test_mod_p_at_most_exact(self):
         rng = np.random.default_rng(13)

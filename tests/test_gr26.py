@@ -210,11 +210,11 @@ class TestDemos:
         p1, p2 = coordinate_point(3, 7, range(4)), coordinate_point(3, 7, range(4, 8))
         p3 = GrassPoint(3, 7, np.hstack([np.eye(4), np.eye(4)]))
         curve = [wedge_vectors(np.hstack([np.eye(4), t * np.eye(4)]).astype(int).tolist(), 8) for t in (2, 3, 5, 7, 11)]
-        assert _span_check([p1, p2, p3], curve, DEFAULT_PRIME) == (5, 50)
+        assert _span_check([p1, p2, p3], curve, DEFAULT_PRIME) == (50, 5, 50)
         # The tangent spaces at p1 and p2 alone span 34 dimensions and miss the curve.
-        assert _span_check([p1, p2], curve, DEFAULT_PRIME) == (5, 35)
+        assert _span_check([p1, p2], curve, DEFAULT_PRIME) == (34, 5, 35)
         extra = wedge_vectors(np.random.default_rng(0).integers(-3, 4, size=(4, 8)).tolist(), 8)
-        assert _span_check([p1, p2, p3], curve + [extra], DEFAULT_PRIME) == (6, 51)
+        assert _span_check([p1, p2, p3], curve + [extra], DEFAULT_PRIME) == (50, 6, 51)
 
     def test_reports_serialize(self):
         rec = demo_gr37().to_record()

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,27 +9,28 @@ from oracle import (
     coordinate_point,
     full_frame,
     monomial_tangent_basis,
+    sample_points,
     span_unit_rows,
     stacked_trial_rank,
     subgrassmannian_span,
+    tangent_stack,
 )
 
 from grsecant import grassmann, terracini
 from grsecant.codes import monomial_certificate
 from grsecant.extalg import subset_rank
-from grsecant.fieldcore import DEFAULT_PRIME, MAX_PRIME, SECOND_PRIME, rank_mod_p
-from grsecant.grassmann import CoordinateSubspace, counted_columns, tangent_space_dim
+from grsecant.fieldcore import DEFAULT_PRIME, MAX_PRIME, SECOND_PRIME, Echelon, rank_mod_p
+from grsecant.grassmann import CoordinateSubspace, counted_columns, frame_rows, tangent_space_dim
 from grsecant.induction import prop_a_supports
 from grsecant.terracini import (
     CertificateUnavailable,
     ImpliedRange,
     SecantProblem,
     Verdict,
-    _sample_points,
     expected_affine_dim,
     monotone_extend,
     probe,
-    tangent_stack,
+    rank_points,
 )
 
 P = DEFAULT_PRIME
@@ -104,7 +106,7 @@ class TestProbe:
         for p in (P, SECOND_PRIME):
             for seed in range(3):
                 problem = SecantProblem(k, n, s, prime=p, seed=seed)
-                points = _sample_points(problem, 0)
+                points = sample_points(problem, 0)
                 stack = tangent_stack(points, p)
                 frames = np.vstack([full_frame(pt.rows, p) for pt in points])
                 assert len(stack) == s * tangent_space_dim(k, n)
@@ -210,6 +212,39 @@ class TestTracedCallSites:
         assert calls["frame_rows"] == calls["random_point"] == sampled
 
 
+class TestStreaming:
+    """Gr(2,20) at s2(20) = 27: 7 coordinate planes are counted, 385 of the
+    1330 columns, and the sampled points' frames are ranked at the other 945."""
+
+    def test_stops_drawing_once_every_column_is_spanned(self, monkeypatch):
+        # 17 frames of 55 rows cannot span 945 columns; 18 do, so the last 2
+        # of the 20 sampled points are never drawn.
+        calls = collections.Counter()
+        draw = terracini.random_point
+
+        def counted(*args):
+            calls["random_point"] += 1
+            return draw(*args)
+
+        monkeypatch.setattr(terracini, "random_point", counted)
+        v = probe(SecantProblem(2, 20, 27, seed=0))
+        assert v.verdict is Verdict.CERTIFIED_FILLS
+        assert calls["random_point"] == 18
+
+    def test_peak_memory_is_the_basis(self):
+        # No stack: beside the 945 x 945 float64 basis E a probe holds one
+        # frame, the kernel's scratch and one block at a time.
+        problem = SecantProblem(2, 20, 27, seed=0)
+        probe(problem)  # fills the minor tables' caches
+        tracemalloc.start()
+        try:
+            probe(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 945 * 945 * 8
+
+
 class TestSampling:
     @pytest.mark.parametrize("constrained", [False, True])
     def test_point_streams_do_not_depend_on_first(self, constrained):
@@ -217,33 +252,46 @@ class TestSampling:
         L = CoordinateSubspace(n, tuple(range(4, n + 1)))
         problem = SecantProblem(2, n, 6, seed=7, point_constraints=(L, None) * 3 if constrained else None)
         for trial in range(2):
-            every = _sample_points(problem, trial)
+            every = sample_points(problem, trial)
             for first in range(problem.s + 1):
-                rest = _sample_points(problem, trial, first)
+                rest = sample_points(problem, trial, first)
                 assert len(rest) == problem.s - first
                 assert all(np.array_equal(a.rows, b.rows) for a, b in zip(rest, every[first:]))
 
 
 class TestTangentStack:
+    """A trial's tangent spaces reach the kernel one reused frame at a time."""
+
     @pytest.mark.parametrize("k, n", [(1, 11), (2, 11), (3, 11), (4, 11)])
     @pytest.mark.parametrize("spans", [False, True])
     def test_exact_size_and_no_zero_row(self, k, n, spans):
         # Three constrained points, one random and two coordinate points,
-        # with or without three coordinate spans: spans add no rows.
+        # framed at every column, at masks, and with spans without the
+        # spans' columns: each frame is exactly tangent_space_dim rows.
         L = CoordinateSubspace(n, tuple(range(4, n + 1)))
         M = CoordinateSubspace(n, tuple(range(0, 4)) + tuple(range(8, n + 1)))
         N = CoordinateSubspace(n, tuple(range(0, 8)))
-        problem = SecantProblem(k, n, 4, seed=2, point_constraints=(L, M, N, None), extra_spans=(L, M, N) if spans else ())
-        points = _sample_points(problem, 0) + [
+        problem = SecantProblem(k, n, 4, seed=2, point_constraints=(L, M, N, None))
+        points = sample_points(problem, 0) + [
             coordinate_point(k, n, range(k + 1)),
             coordinate_point(k, n, range(n - k, n + 1)),
         ]
-        stack = tangent_stack(points, problem.prime)
-        assert stack.shape == (len(points) * tangent_space_dim(k, n), problem.ambient)
+        p, dim = problem.prime, tangent_space_dim(k, n)
+        stack = tangent_stack(points, p)
         assert stack.any(axis=1).all()
-        # Written at the width it is ranked: the full stack's kept columns.
-        for keep in (~counted_columns(n + 1, k + 1, planes=[range(k + 1)]), np.arange(problem.ambient) % 3 == 1):
-            assert np.array_equal(tangent_stack(points, problem.prime, keep), stack[:, keep])
+        masks = [np.ones(problem.ambient, dtype=bool), ~counted_columns(n + 1, k + 1, planes=[range(k + 1)])]
+        if spans:
+            masks.append(~counted_columns(n + 1, k + 1, [L.support, M.support, N.support]))
+        else:
+            masks.append(np.arange(problem.ambient) % 3 == 1)
+        for keep in masks:
+            # Written at the width it is ranked: the full frame's kept columns.
+            frame = np.zeros((dim, int(keep.sum())))
+            for i, pt in enumerate(points):
+                frame.fill(0)
+                assert np.array_equal(frame_rows(pt.rows, p, frame, keep), stack[i * dim : (i + 1) * dim, keep])
+            basis = Echelon(int(keep.sum()), len(points) * dim, p)
+            assert rank_points(points, p, basis, keep) == rank_mod_p(stack[:, keep], p)
 
 
 class TestStrategies:
@@ -348,7 +396,7 @@ class TestCountedRanks:
                 2, n, len(constraints), prime=p, seed=1, trials=1, point_constraints=constraints, extra_spans=spans
             )
             units = np.vstack([span_unit_rows(subgrassmannian_span(span, 3), n + 1, 3) for span in spans])
-            stack = np.vstack([units, tangent_stack(_sample_points(problem, 0), p)])
+            stack = np.vstack([units, tangent_stack(sample_points(problem, 0), p)])
             assert probe(problem, target_rank=problem.ambient).achieved_rank == rank_mod_p(stack, p)
 
 
