@@ -282,6 +282,9 @@ def check_prop_b(
 
     The floor variant must leave exactly 36(n-6) - 36s - 4(3n-5) hyperplanes
     (20, 8 or 32 according to n mod 3); the ceiling variant must leave none.
+    The probe places up to two points of M on {0,1,2} and {3,4,5} and up
+    to two of L on {n-5,n-4,n-3} and {n-2,n-1,n}, the coordinates only
+    that span holds (terracini._coordinate_planes), and samples the rest.
     """
     if n < 11:
         raise ValueError("needs n >= 11")
@@ -301,7 +304,12 @@ def check_prop_c(
     seed: int = 0,
     trials: int = DEFAULT_TRIALS,
 ) -> PropCheck:
-    """One span, f1/f2 points on it, floor/ceil((6n-13)/9) free points."""
+    """One span, f1/f2 points on it, floor/ceil((6n-13)/9) free points.
+
+    The probe places up to ⌊(n-5)/3⌋ points of L on {6,7,8}, {9,10,11}, ...
+    and two free points on {0,1,2} and {3,4,5}, the coordinates outside L
+    (terracini._coordinate_planes), and samples the rest.
+    """
     if n < 9:
         raise ValueError("needs n >= 9")
     if variant not in ("floor", "ceil"):

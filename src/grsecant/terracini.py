@@ -19,15 +19,13 @@ rest, written only at the columns left.  Its coordinate points are the
 words of a monomial certificate (codes.monomial_certificate), which meet
 in at most k-2 indices, so their tangent columns are disjoint and the
 count alone reaches s·((k+1)(n-k)+1) (overlapping ones would fall short).
-Otherwise the rank is the dimension of the span of the tangent
-spaces at s general points (Terracini's lemma), and GL(n+1) moves any
-m <= (n+1)/(k+1) (k+1)-planes in direct sum to the coordinate planes
-W_j = {j(k+1), ..., j(k+1)+k}, so an unconstrained probe takes
-W_0..W_{m-1} as its first m points and samples only the other s - m.
-For a fixed invertible M a uniform random matrix R and RM have the same
-law, so each trial's rank has the law it would have at s sampled points,
-and any configuration reaching the expected rank certifies it.  Problems
-with constrained points or extra spans sample every point.
+Otherwise they are the planes `_coordinate_planes` places: on the
+coordinates private to each point's constraint support (or, for free
+points, in no support or span), which a linear map fixing every support
+and span moves the first points of each class to.  Without constraints or
+spans these are W_j = {j(k+1), ..., j(k+1)+k} at points 0..m-1,
+m = min(s, (n+1) // (k+1)).  Each trial's rank keeps its law, and any
+configuration reaching the expected rank certifies it.
 
 The verdict is derived from the ranks in one place, `Verdict.of`.  A
 cached probe record is replayed only if `replays` rebuilds the same record
@@ -246,22 +244,68 @@ def _certificate(problem: SecantProblem) -> tuple[tuple[int, ...], ...] | None:
     return None if code is None else code.words[: problem.s]
 
 
+def _coordinate_planes(problem: SecantProblem) -> dict[int, tuple[int, ...]]:
+    """The points a probe places, by index, each with its coordinate plane.
+
+    Let 𝒮 be the distinct supports of the constraints and the extra spans.
+    A point's class is its constraint's support, or None when it is free.
+    The private coordinates P_S of a class S are those in S and in no other
+    member of 𝒮; for the free class, those in no member of 𝒮.  The first
+    min(#points of S, ⌊|P_S|/(k+1)⌋) points of each class, in index order,
+    become the planes P_S[0:k+1], P_S[k+1:2k+2], ...; every other point is
+    sampled.  Without constraints or spans this is W_0..W_{m-1} at points
+    0..m-1.
+
+    Why this keeps the probe sound and each trial's rank law.  Points are
+    row matrices acted on by x ↦ xg.  For a class S and its m moved points
+    X, whose P_S-part X_P has full rank (a generic condition), let g be the
+    identity off the rows of P_S and send the rows of P_S into S: g_{P,P}
+    with X_P g_{P,P} the unit planes, and g_{P,S∖P} with
+    X_P g_{P,S∖P} = -X_{S∖P}.  Then Xg is the placed planes, g is invertible,
+    and:
+    - every other member of 𝒮 has no P_S coordinate, so g fixes it
+      pointwise, points of other classes and placed planes included; S
+      itself is preserved (Sg = S);
+    - g depends only on X, and the other points are uniform on their
+      supports, which g preserves, so they stay uniform under g.
+    Classes have disjoint P's, so each class's map fixes the planes placed
+    for the others, and the maps compose.  The rank of a configuration is
+    invariant under g, so each trial's rank has the law of a fully sampled
+    trial conditioned on the generic event, and any configuration on the
+    spans that reaches the target certifies it.
+    """
+    d = problem.k + 1
+    constraints = problem.point_constraints or (None,) * problem.s
+    classes = [None if sub is None else sub.support for sub in constraints]
+    members = {c for c in classes if c is not None} | {span.support for span in problem.extra_spans}
+    placed = {}
+    for cls in dict.fromkeys(classes):
+        taken = set().union(*(members - {cls}))
+        private = [c for c in cls or range(problem.n + 1) if c not in taken]
+        points = [i for i, c in enumerate(classes) if c == cls]
+        for j, i in enumerate(points[: len(private) // d]):
+            placed[i] = tuple(private[j * d : j * d + d])
+    return placed
+
+
 def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | None = None) -> SpanVerdict:
     """Run the prober; `strategy` is one of random, monomial, auto.
 
-    The first points are coordinate points: under monomial, and under auto
-    for an ambient dimension up to AUTO_CERTIFICATE_AMBIENT_LIMIT, the s
-    words of a monomial certificate (CertificateUnavailable under monomial
-    without one); otherwise, without constrained points or extra spans,
-    the planes W_0..W_{m-1}, m = min(s, (n+1) // (k+1)); else none.  Each
+    Some points are coordinate points: under monomial, and under auto for
+    an ambient dimension up to AUTO_CERTIFICATE_AMBIENT_LIMIT, all s words
+    of a monomial certificate (CertificateUnavailable under monomial
+    without one); otherwise the planes `_coordinate_planes` places.  Each
     trial's rank is the count of the columns they and the extra spans add
-    plus the rank of the tangent spaces at the points first..s-1, drawn
-    one at a time and framed without those columns (rank_points); a
+    plus the rank of the tangent spaces at the other points, drawn one at a
+    time in index order and framed without those columns (rank_points); a
     certificate draws no point and needs one trial.
 
     A problem with extra spans is a specialization: each constrained point
     must lie in one of the spans, and ambient - achieved counts the
-    hyperplanes through the whole configuration.
+    hyperplanes through the whole configuration.  Its points placed are
+    the first of each class that fit on the coordinates private to their
+    class: for Prop. C up to ⌊(n-5)/3⌋ points on L = {6..n} and two free
+    points, for Prop. B up to two points on each span, for Prop. A none.
     """
     if strategy not in ("random", "monomial", "auto"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -274,27 +318,23 @@ def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | N
     if not 0 <= expected <= ambient:
         raise ValueError(f"target rank {expected} out of range [0, {ambient}]")
 
-    dim, d = problem.n + 1, problem.k + 1
     certify = strategy == "monomial" or (strategy == "auto" and ambient <= AUTO_CERTIFICATE_AMBIENT_LIMIT)
-    planes = _certificate(problem) if certify else None
-    if planes is None:
-        if strategy == "monomial":
-            raise CertificateUnavailable(
-                f"no monomial certificate for (k={problem.k}, n={problem.n}, s={problem.s})"
-            )
-        constrained = problem.point_constraints or problem.extra_spans
-        planes = () if constrained else [range(j * d, j * d + d) for j in range(min(problem.s, dim // d))]
-    counted = counted_columns(dim, d, [span.support for span in problem.extra_spans], planes)
-    first = len(planes)
+    words = _certificate(problem) if certify else None
+    if words is None and strategy == "monomial":
+        raise CertificateUnavailable(f"no monomial certificate for (k={problem.k}, n={problem.n}, s={problem.s})")
+    placed = _coordinate_planes(problem) if words is None else dict(enumerate(words))
+    spans = [span.support for span in problem.extra_spans]
+    counted = counted_columns(problem.n + 1, problem.k + 1, spans, placed.values())
     count, keep = int(counted.sum()), ~counted
-    rows = (problem.s - first) * tangent_space_dim(problem.k, problem.n)
+    sampled = [i for i in range(problem.s) if i not in placed]
+    rows = len(sampled) * tangent_space_dim(problem.k, problem.n)
     constraints = problem.point_constraints or (None,) * problem.s
     best = 0
     trials_used = 0
     for trial in range(problem.trials):
         points = (
             random_point(problem.k, problem.n, _point_rng(problem, trial, i), constraints[i], problem.prime)
-            for i in range(first, problem.s)
+            for i in sampled
         )
         rank = count + rank_points(points, problem.prime, Echelon(ambient - count, rows, problem.prime), keep)
         trials_used = trial + 1

@@ -15,11 +15,14 @@ from exact wedges and checks its rank.
 line-by-line cache load and replay that `cache.ResultCache`'s vectorised
 index replaced.
 
-`stacked_trial_rank` ranks by elimination the plain tangent stack at the
-s points of a probe trial: the coordinate planes whose tangent columns
-`terracini.probe` counts, then the points it samples.  It builds the stack
-with `tangent_stack` from the points `sample_points` draws, the whole-trial
-stack that `terracini.rank_points` replaced by one frame per point.
+`stacked_trial_rank` ranks by elimination the plain stack of a probe
+trial: the unit rows of its extra spans, then the tangent bases at the s
+points of `trial_points`.  These are the coordinate points on the planes
+`placed_planes` finds, whose tangent columns `terracini.probe` counts, and
+the points `sample_points` draws for the rest.  `tangent_stack` builds
+the whole-trial stack that `terracini.rank_points` replaced by one frame
+per point.  `placed_planes` finds the private coordinates by its own set
+arithmetic, not by `terracini._coordinate_planes`.
 
 `coordinate_point`, `subgrassmannian_span` and `span_unit_rows` build the
 coordinate points of a monomial certificate and the unit rows of a
@@ -104,21 +107,45 @@ def tangent_stack(points: Sequence[GrassPoint], p: int, keep: np.ndarray | None 
     return stack
 
 
-def stacked_trial_rank(problem: SecantProblem, trial: int = 0) -> int:
-    """Rank mod p of the plain stack of tangent bases at the s points of
-    `trial`; the problem must have no extra spans.
+def placed_planes(problem: SecantProblem) -> dict[int, tuple[int, ...]]:
+    """The coordinate plane of each point a probe places, by point index.
 
-    Without constrained points the first m = min(s, (n+1) // (k+1)) points
-    are the coordinate planes W_j = {j(k+1), ..., j(k+1)+k} and the others
-    are sampled; constrained problems sample all s points.
+    The members are the distinct constraint and span supports.  A class is
+    a constraint support, or None for the free points, and its private
+    coordinates are those of the class (all, for None) in no other member.
+    The first points of a class, in index order, take consecutive (k+1)-sets
+    of its private coordinates while they last.
     """
-    if problem.extra_spans:
-        raise ValueError("extra spans enter a probe as counted columns, not rows")
-    k, n = problem.k, problem.n
-    m = 0 if problem.point_constraints else min(problem.s, (n + 1) // (k + 1))
-    planes = [coordinate_point(k, n, range(j * (k + 1), (j + 1) * (k + 1))) for j in range(m)]
-    points = planes + sample_points(problem, trial, m)
-    return rank_mod_p(tangent_stack(points, problem.prime), problem.prime)
+    d = problem.k + 1
+    constraints = problem.point_constraints or (None,) * problem.s
+    supports = [None if c is None else frozenset(c.support) for c in constraints]
+    members = {c for c in supports if c is not None} | {frozenset(span.support) for span in problem.extra_spans}
+    placed = {}
+    for cls in set(supports):
+        own = cls if cls is not None else frozenset(range(problem.n + 1))
+        private = sorted(own.difference(*(members - {cls})))
+        indices = [i for i, c in enumerate(supports) if c == cls]
+        for j in range(min(len(indices), len(private) // d)):
+            placed[indices[j]] = tuple(private[j * d : (j + 1) * d])
+    return placed
+
+
+def trial_points(problem: SecantProblem, trial: int = 0) -> list[GrassPoint]:
+    """The s points of a probe trial: coordinate points where `placed_planes`
+    places them, the points `sample_points` draws elsewhere."""
+    placed = placed_planes(problem)
+    return [
+        coordinate_point(problem.k, problem.n, placed[i]) if i in placed else pt
+        for i, pt in enumerate(sample_points(problem, trial))
+    ]
+
+
+def stacked_trial_rank(problem: SecantProblem, trial: int = 0) -> int:
+    """Rank mod p of the unit rows of the problem's extra spans stacked over
+    the tangent bases at the s points of `trial` (`trial_points`)."""
+    k, n, p = problem.k, problem.n, problem.prime
+    units = [span_unit_rows(subgrassmannian_span(span, k + 1), n + 1, k + 1) for span in problem.extra_spans]
+    return rank_mod_p(np.vstack(units + [tangent_stack(trial_points(problem, trial), p)]), p)
 
 
 def maximal_minors_reference(mat, p: int) -> np.ndarray:

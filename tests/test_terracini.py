@@ -9,23 +9,24 @@ from oracle import (
     coordinate_point,
     full_frame,
     monomial_tangent_basis,
+    placed_planes,
     sample_points,
-    span_unit_rows,
     stacked_trial_rank,
     subgrassmannian_span,
     tangent_stack,
 )
 
-from grsecant import grassmann, terracini
+from grsecant import grassmann, induction, terracini
 from grsecant.codes import monomial_certificate
 from grsecant.extalg import subset_rank
 from grsecant.fieldcore import DEFAULT_PRIME, MAX_PRIME, SECOND_PRIME, Echelon, rank_mod_p
 from grsecant.grassmann import CoordinateSubspace, counted_columns, frame_rows, tangent_space_dim
-from grsecant.induction import prop_a_supports
+from grsecant.induction import certify_theorem, check_prop_a, check_prop_b, check_prop_c, prop_a_supports
 from grsecant.terracini import (
     CertificateUnavailable,
     ImpliedRange,
     SecantProblem,
+    SpanVerdict,
     Verdict,
     expected_affine_dim,
     monotone_extend,
@@ -395,9 +396,11 @@ class TestCountedRanks:
             problem = SecantProblem(
                 2, n, len(constraints), prime=p, seed=1, trials=1, point_constraints=constraints, extra_spans=spans
             )
-            units = np.vstack([span_unit_rows(subgrassmannian_span(span, 3), n + 1, 3) for span in spans])
-            stack = np.vstack([units, tangent_stack(sample_points(problem, 0), p)])
-            assert probe(problem, target_rank=problem.ambient).achieved_rank == rank_mod_p(stack, p)
+            # The oracle stacks the spans' unit rows over the same points the
+            # probe ranks: coordinate points where it places them, sampled
+            # points elsewhere.
+            assert placed_planes(problem)
+            assert probe(problem, target_rank=problem.ambient).achieved_rank == stacked_trial_rank(problem)
 
 
 def _trial_rank(problem: SecantProblem) -> int:
@@ -438,6 +441,20 @@ class TestCoordinateNormalisation:
             problem = SecantProblem(1, n, s, prime=p, seed=1)
             assert _trial_rank(problem) == stacked_trial_rank(problem), (n, s)
 
+    @pytest.mark.parametrize("p", [P, SECOND_PRIME])
+    @pytest.mark.parametrize("variant", ["floor", "ceil"])
+    @pytest.mark.parametrize(
+        "check, n", [(check_prop_b, 11), (check_prop_b, 12), (check_prop_c, 9), (check_prop_c, 10)],
+        ids=["b11", "b12", "c9", "c10"],
+    )
+    def test_base_case_matches_full_elimination(self, monkeypatch, p, variant, check, n):
+        # The base case's own problem: the counted trial rank, the oracle's
+        # elimination of the span unit rows over the trial's coordinate and
+        # sampled points, and the target `_plan` sets are one number.
+        [(problem, target)] = _captured_probes(monkeypatch, lambda: check(n, variant, p))
+        assert placed_planes(problem)
+        assert _trial_rank(problem) == stacked_trial_rank(problem) == target
+
     @pytest.mark.parametrize("p", PRIMES)
     def test_constrained_points_without_spans(self, p):
         n = 11
@@ -447,7 +464,84 @@ class TestCoordinateNormalisation:
         for k in (1, 2, 3):
             for constraints in [(L, M, N, None, L), (None, L, None, M, N, None), (N, N, N)]:
                 problem = SecantProblem(k, n, len(constraints), prime=p, seed=3, point_constraints=constraints)
+                # L, M and N cover every coordinate and leave none private but
+                # N's {0..7} when N is the only support: only (N, N, N) places points.
+                assert bool(placed_planes(problem)) == (constraints == (N, N, N))
                 assert _trial_rank(problem) == stacked_trial_rank(problem), (k, constraints)
+
+
+def _captured_probes(monkeypatch, run) -> list[tuple[SecantProblem, int]]:
+    """Each problem `run()` hands induction.probe, with its target rank.
+
+    The probes are not run: each reports its target as reached.
+    """
+    seen = []
+
+    def capture(problem, target_rank=None):
+        target = expected_affine_dim(problem.k, problem.n, problem.s) if target_rank is None else target_rank
+        seen.append((problem, target))
+        return SpanVerdict(problem, target, target, 1)
+
+    monkeypatch.setattr(induction, "probe", capture)
+    run()
+    return seen
+
+
+class TestPlacement:
+    """Coordinate planes on each class's private coordinates: the base cases'
+    problems, constrained problems without spans and unconstrained ones."""
+
+    def problems(self, monkeypatch):
+        n = 11
+        L = CoordinateSubspace(n, tuple(range(4, n + 1)))
+        M = CoordinateSubspace(n, tuple(range(0, 4)) + tuple(range(8, n + 1)))
+        N = CoordinateSubspace(n, tuple(range(0, 8)))
+        yield from (problem for problem, _ in _captured_probes(monkeypatch, lambda: certify_theorem(14)))
+        for k in (1, 2, 3):
+            for constraints in [(L, M, N, None, L), (N, N, N, None, None), (N, None) * 4]:
+                yield SecantProblem(k, n, len(constraints), point_constraints=constraints)
+                yield SecantProblem(k, n, len(constraints), point_constraints=constraints, extra_spans=(L,))
+            yield SecantProblem(k, 20, 27)
+
+    def test_planes_lie_on_private_coordinates(self, monkeypatch):
+        for problem in self.problems(monkeypatch):
+            placed = terracini._coordinate_planes(problem)
+            assert placed == placed_planes(problem), problem
+            constraints = problem.point_constraints or (None,) * problem.s
+            members = {c.support for c in constraints if c is not None} | {s.support for s in problem.extra_spans}
+            used = [c for plane in placed.values() for c in plane]
+            assert len(used) == len(set(used)) == (problem.k + 1) * len(placed)  # pairwise disjoint planes
+            for i, plane in placed.items():
+                cls = None if constraints[i] is None else constraints[i].support
+                assert set(plane) <= set(cls or range(problem.n + 1)), (problem, i)
+                assert not any(set(plane) & set(other) for other in members - {cls}), (problem, i)
+
+    @pytest.mark.parametrize(
+        "check, args, draws",
+        [(check_prop_c, (14, "floor"), 6), (check_prop_a, (17,), 12)],
+        ids=["prop-c-14-floor", "prop-a-17"],
+    )
+    def test_base_case_draws(self, monkeypatch, check, args, draws):
+        # Prop. C at n = 14 places 3 of its 4 points on L = {6..14} and 2 of
+        # its 7 free points on {0..5}; Prop. A has no private coordinate.
+        # (Unconstrained Gr(2,20) at s = 27: TestStreaming draws 18.)
+        calls = collections.Counter()
+        draw = terracini.random_point
+
+        def counted(*args):
+            calls["random_point"] += 1
+            return draw(*args)
+
+        monkeypatch.setattr(terracini, "random_point", counted)
+        assert check(*args).passed
+        assert calls["random_point"] == draws
+
+    @pytest.mark.parametrize("k, n, s", [(1, 9, 4), (2, 9, 5), (2, 20, 27), (3, 9, 6), (4, 14, 6)])
+    def test_free_constraints_place_as_no_constraints(self, k, n, s):
+        problem = SecantProblem(k, n, s, seed=2)
+        free = dataclasses.replace(problem, point_constraints=(None,) * s)
+        assert terracini._coordinate_planes(free) == terracini._coordinate_planes(problem)
+        assert probe(free).to_record() == probe(problem).to_record()
 
 
 class TestSpecialization:
