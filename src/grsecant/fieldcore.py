@@ -76,15 +76,14 @@ def validate_prime(p: int) -> int:
     return p
 
 
-def _reduce(x: np.ndarray, p: int, scratch: np.ndarray | None = None) -> np.ndarray:
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     """Reduce an integral float64 array into [0, p) in place.
 
     Exact whenever |x| < 2**53: the correctly rounded quotient x/p then
     lies within 1/p of the true one, so its floor is exact.  np.fmod would
-    give the same result several times slower.  `scratch`, shaped like x,
-    saves an allocation.
+    give the same result several times slower.
     """
-    q = np.divide(x, p, out=scratch)
+    q = x / p
     np.floor(q, out=q)
     q *= p
     x -= q
@@ -104,9 +103,7 @@ def _float_block(block: np.ndarray, p: int) -> np.ndarray:
     return np.remainder(block.astype(np.int64, copy=False), p).astype(np.float64)
 
 
-def _forward(
-    B: np.ndarray, E: np.ndarray, blocks: list[tuple[int, int]], pivots: np.ndarray, p: int, work: np.ndarray
-) -> None:
+def _forward(B: np.ndarray, E: np.ndarray, blocks: list[tuple[int, int]], pivots: np.ndarray, p: int) -> None:
     """Clear the pivot columns of E from B over GF(p), one block of E at a time.
 
     Block E[lo:hi] is the identity on its own pivot columns and zero on those
@@ -114,28 +111,18 @@ def _forward(
     columns and leaves the earlier ones clear; taken in order, the blocks
     clear them all.  Only the coefficient columns are reduced before each
     product.  B takes one product of reduced entries per pivot and is
-    reduced whole before that count would pass GEMM_DEPTH.  When most rows
-    have no coefficient in a block, only the others are updated.  `work`
-    holds two scratch arrays with at least len(B) rows each.
+    reduced whole before that count would pass GEMM_DEPTH.
     """
     depth = 0
-    prod, quot = work[0, : len(B)], work[1, : len(B)]
     for lo, hi in blocks:
-        C = _reduce(B[:, pivots[lo:hi]], p)
-        hit = C.any(axis=1).nonzero()[0]
-        if hit.size == 0:
-            continue
         if depth + hi - lo > GEMM_DEPTH:
-            _reduce(B, p, quot)
+            _reduce(B, p)
             depth = 0
         depth += hi - lo
-        if 2 * hit.size > len(B):
-            B -= np.matmul(C, E[lo:hi], out=prod)
-        else:
-            B[hit] -= C[hit] @ E[lo:hi]
+        B -= _reduce(B[:, pivots[lo:hi]], p) @ E[lo:hi]
 
 
-def _eliminate_block(B: np.ndarray, E: np.ndarray, r: int, p: int, work: np.ndarray) -> list[int]:
+def _eliminate_block(B: np.ndarray, E: np.ndarray, r: int, p: int) -> list[int]:
     """Gauss-Jordan elimination of a block whose rows are clear of E[:r].
 
     The independent rows are written, reduced on each other's pivots and
@@ -148,15 +135,11 @@ def _eliminate_block(B: np.ndarray, E: np.ndarray, r: int, p: int, work: np.ndar
     Returns the pivot column of each independent row.
     """
     found: list[int] = []
-    prod, quot = work[0], work[1]
     for lo in range(0, len(B), SLICE_ROWS):
-        S = B[lo : lo + SLICE_ROWS]
-        _reduce(S, p, quot[: len(S)])
+        S = _reduce(B[lo : lo + SLICE_ROWS], p)
         f = len(found)
         if f:
-            C = S[:, found]
-            if C.any():
-                S -= np.matmul(C, E[r : r + f], out=prod[: len(S)])
+            S -= S[:, found] @ E[r : r + f]
         new = []
         for i in range(len(S)):
             row = _reduce(S[i], p)
@@ -168,11 +151,7 @@ def _eliminate_block(B: np.ndarray, E: np.ndarray, r: int, p: int, work: np.ndar
             _reduce(row, p)
             col = _reduce(S[:, c].copy(), p)
             col[i] = 0
-            hit = col.nonzero()[0]
-            if 2 * hit.size > len(S):
-                S -= np.outer(col, row, out=prod[: len(S)])
-            elif hit.size:
-                S[hit] -= col[hit, None] * row
+            S -= np.outer(col, row)
             new.append(i)
             found.append(c)
         if not new:
@@ -180,22 +159,19 @@ def _eliminate_block(B: np.ndarray, E: np.ndarray, r: int, p: int, work: np.ndar
         N = _reduce(S[new], p)
         if f:
             F = E[r : r + f]
-            C = F[:, found[f:]]
-            if C.any():
-                F -= np.matmul(C, N, out=prod[:f])
-                _reduce(F, p, quot[:f])
+            F -= F[:, found[f:]] @ N
+            _reduce(F, p)
         E[r + f : r + len(found)] = N
     return found
 
 
 class Echelon:
-    """rank_mod_p's state: the basis E[:rank] of at most `rows` rows `ncols` wide, pivots, blocks and scratch."""
+    """rank_mod_p's state: the basis E[:rank] of at most `rows` rows `ncols` wide, its pivots and blocks."""
 
     def __init__(self, ncols: int, rows: int, p: int):
         size = min(rows, ncols)
         self.p, self.rank, self.blocks = p, 0, []
         self.E, self.pivots = np.empty((size, ncols)), np.empty(size, dtype=np.intp)
-        self.work = np.empty((2, min(rows, BLOCK_ROWS), ncols))
 
 
 def rank_mod_p(mat, p: int = DEFAULT_PRIME, basis: Echelon | None = None) -> int:
@@ -206,9 +182,9 @@ def rank_mod_p(mat, p: int = DEFAULT_PRIME, basis: Echelon | None = None) -> int
     columns (_forward), eliminated internally (_eliminate_block), and its
     independent rows are appended to E as a new block.  Nothing is
     back-substituted, so E is block triangular: each block is the identity
-    on its own pivot columns and zero on those of earlier blocks.  E and the
-    scratch space are allocated once, and every other temporary has at most
-    BLOCK_ROWS rows.  Given a `basis`, the rows join it and its rank returns.
+    on its own pivot columns and zero on those of earlier blocks.  E is
+    allocated once, and every other temporary has at most BLOCK_ROWS rows.
+    Given a `basis`, the rows join it and its rank returns.
     """
     if not 1 < p <= MAX_PRIME:
         raise ValueError(f"modulus {p} outside (1, MAX_PRIME={MAX_PRIME}]; float64 elimination would not be exact")
@@ -219,13 +195,13 @@ def rank_mod_p(mat, p: int = DEFAULT_PRIME, basis: Echelon | None = None) -> int
     basis = Echelon(n, m, p) if basis is None else basis
     if (basis.E.shape[1], basis.p) != (n, p):
         raise ValueError(f"rows of width {n} mod {p} added to a basis of width {basis.E.shape[1]} mod {basis.p}")
-    E, pivots, work, blocks, r = basis.E, basis.pivots, basis.work, basis.blocks, basis.rank
+    E, pivots, blocks, r = basis.E, basis.pivots, basis.blocks, basis.rank
     for lo in range(0, m, BLOCK_ROWS):
         if r == n:
             break
         B = _float_block(A[lo : lo + BLOCK_ROWS], p)
-        _forward(B, E, blocks, pivots, p, work)
-        found = _eliminate_block(B, E, r, p, work)
+        _forward(B, E, blocks, pivots, p)
+        found = _eliminate_block(B, E, r, p)
         if not found:
             continue
         blocks.append((r, r + len(found)))

@@ -104,8 +104,9 @@ def _probe_entries(k: int, n: int, rows: int) -> int:
     That is the int64 minor tables of every size t <= k+1 (the subset and
     drop tables, the expansion's products and frame_rows' signed minors,
     4 t C(n+1, t) entries in all) and, in float64, the frames a trial may
-    rank, the rank kernel's basis E and its scratch, at most C(n+1, k+1)
-    columns wide.  Extra spans and coordinate planes add no rows: their
+    rank, the rank kernel's basis E and its temporaries (2 * BLOCK_ROWS
+    rows bound those a block needs at once), at most C(n+1, k+1) columns
+    wide.  Extra spans and coordinate planes add no rows: their
     columns are counted.  The count stops as soon as the tables pass
     MAX_PROBE_ENTRIES, so a huge problem costs no huge binomial.
     """
@@ -236,7 +237,7 @@ def rank_points(points: Iterable[GrassPoint], p: int, basis: Echelon, keep: np.n
 
 def _certificate(problem: SecantProblem) -> tuple[tuple[int, ...], ...] | None:
     """The supports of s coordinate points from a monomial certificate, or None."""
-    if problem.k < 2 or problem.point_constraints or problem.extra_spans:
+    if problem.k < 2 or problem.extra_spans or any(c is not None for c in problem.point_constraints or ()):
         return None
     if problem.s * tangent_space_dim(problem.k, problem.n) > problem.ambient:
         return None

@@ -411,14 +411,14 @@ def cache_replay_reference(lines: list[bytes], key: str, replays=None) -> tuple[
 def lexicode_greedy_reference(length: int, weight: int, min_distance: int = 6) -> tuple[tuple[int, ...], ...]:
     """The greedy lexicode's words by the pairwise scan: each weight-w support,
     in colex order, is kept when it meets every kept word in at most
-    w - d/2 elements.  Words are bitmasks, so one popcount compares a
-    support with all kept words at once."""
+    w - d/2 elements.  Words are bitmasks, so a popcount of their AND
+    counts the common elements."""
     max_overlap = weight - min_distance // 2
     kept: list[tuple[int, ...]] = []
-    masks = np.zeros(math.comb(length, weight), dtype=np.uint64)
+    masks: list[int] = []
     for cand in subsets_colex(length, weight):
-        mask = np.uint64(sum(1 << i for i in cand))
-        if (np.bitwise_count(masks[: len(kept)] & mask) <= max_overlap).all():
-            masks[len(kept)] = mask
+        mask = sum(1 << i for i in cand)
+        if all((word & mask).bit_count() <= max_overlap for word in masks):
+            masks.append(mask)
             kept.append(cand)
     return tuple(kept)
