@@ -3,26 +3,31 @@
 A point is stored as a full-rank (k+1) x (n+1) row matrix, not as a Plücker
 vector, so that its tangent space can be generated from it.  The affine
 tangent space at a point is spanned by the wedges obtained by replacing one
-row with one basis vector; its dimension is (k+1)(n-k)+1.  frame_rows
-writes a basis of it (the Plücker row and the generators off one nonzero
-Plücker coordinate) into a zeroed float64 frame, from maximal minors by
-row-by-row Laplace expansion, keeping only the columns its caller ranks.
-Every point it is handed must have full rank mod p, as the sampled and
-demo points do.  Coordinate spans and coordinate points are given by the
-Plücker coordinates they add (counted_columns), not by rows.
+row with one basis vector; its dimension is (k+1)(n-k)+1.  One Laplace pass
+(laplace_minors) gives a point's row-deleted maximal minors and its Plücker
+row mod p.  A sampled point keeps those of its draw: random_point accepts a
+draw iff its Plücker row is nonzero, and frame_rows writes a basis of the
+tangent space (the Plücker row and the generators off one nonzero Plücker
+coordinate) from them into a zeroed float64 frame, keeping only the
+columns its caller ranks, through one scatter plan per first nonzero
+Plücker coordinate and column mask.  Every point it is handed must have
+full rank mod p, as the sampled and demo points do.  Coordinate spans and
+coordinate points are given by the Plücker coordinates they add
+(counted_columns), not by rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .extalg import Multivector, subsets_colex, wedge_vectors
-from .fieldcore import DEFAULT_PRIME, rank_exact, rank_mod_p
+from .fieldcore import DEFAULT_PRIME, rank_exact
+from .fieldcore import rank_mod_p  # noqa: F401  the benchmark's traced run patches grassmann.rank_mod_p
 
 MAX_SAMPLE_ATTEMPTS = 8
 
@@ -51,11 +56,26 @@ class CoordinateSubspace:
         return len(self.support)
 
 
+class PointMinors(NamedTuple):
+    """A point's maximal minors mod p from one Laplace pass (laplace_minors).
+
+    Row i of `deleted` holds the maximal minors of the point without row i,
+    and `plucker` is its Plücker row, both in colex column order.
+    """
+
+    p: int
+    deleted: np.ndarray
+    plucker: np.ndarray
+
+
 @dataclass
 class GrassPoint:
     k: int
     n: int
     rows: np.ndarray
+    # The minors random_point computed to accept the draw; None for a point
+    # built from its rows.
+    minors: PointMinors | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=np.int64)
@@ -65,6 +85,12 @@ class GrassPoint:
             raise ValueError(f"row matrix must be {self.k + 1}x{self.n + 1}")
         if rank_exact(self.rows) != self.k + 1:
             raise ValueError("row matrix is rank deficient")
+
+    def minors_mod(self, p: int) -> PointMinors:
+        """The point's minors mod p: those of its draw if it was drawn mod p."""
+        if self.minors is not None and self.minors.p == p:
+            return self.minors
+        return laplace_minors(self.rows, p)
 
 
 def pluecker(pt: GrassPoint) -> Multivector:
@@ -124,56 +150,87 @@ def maximal_minors_mod(mat: np.ndarray, p: int) -> np.ndarray:
     """All maximal minors of a short wide matrix, colex column order, mod p.
 
     Row-by-row Laplace expansion from the bottom row up: t*C(dim, t)
-    products for the minors of the last t rows.
+    products for the minors of the last t rows, t >= 2.  The bottom row's
+    minors are its entries (colex order on 1-subsets is column order).
     """
     mat = np.asarray(mat, dtype=np.int64) % p
-    minors = np.ones(1, dtype=np.int64)
-    for t, row in enumerate(mat[::-1], start=1):
+    if not len(mat):
+        return np.ones(1, dtype=np.int64)
+    minors = mat[-1]
+    for t, row in enumerate(mat[-2::-1], start=2):
         minors = _expand(row, minors, t, p)
     return minors
 
 
-def frame_rows(rows: np.ndarray, p: int, out: np.ndarray, keep: np.ndarray) -> np.ndarray:
+def laplace_minors(rows: np.ndarray, p: int) -> PointMinors:
+    """A point's row-deleted maximal minors and its Plücker row, mod p.
+
+    The Plücker row is the expansion of the point along row 0 over the
+    minors of the point without it.  It is zero exactly when the point has
+    rank below k+1 mod p.
+    """
+    rows = np.asarray(rows, dtype=np.int64) % p
+    d = len(rows)
+    deleted = np.stack([maximal_minors_mod(rows[np.arange(d) != i], p) for i in range(d)])
+    return PointMinors(p, deleted, _expand(rows[0], deleted[0], d, p))
+
+
+@lru_cache(maxsize=1)
+def _scatter_plan(dim: int, d: int, first: int, keep: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Where frame_rows writes each generator entry, and from where.
+
+    For points whose first nonzero Plücker coordinate is the subset of colex
+    rank `first`, at the columns the bool mask `keep` (as bytes) marks, in
+    a frame as wide as the mask keeps: the flat frame index of each of the
+    H table entries (T, a) whose generator j = T[a] lies outside that
+    subset and whose T is kept, and the flat index of its value in
+    [minors, -minors], both k+1 x H.  The plan depends on nothing else, so
+    the sampled points of a trial, which generically share it, build it
+    once; only the last plan is kept.
+    """
+    keep = np.frombuffer(keep, dtype=bool)
+    idx = _subset_array(dim, d)
+    free = np.ones(dim, dtype=bool)
+    free[idx[first]] = False
+    hit = (free[idx] & keep[:, None]).ravel().nonzero()[0]
+    cols, a = np.divmod(hit, d)
+    i = np.arange(d)[:, None]
+    rows = 1 + (dim - d) * i + (np.cumsum(free) - 1)[idx.ravel()[hit]]
+    # Minor T minus T[a] of row-deleted matrix i, negated when a+i is odd.
+    minors = math.comb(dim, d - 1)
+    src = 2 * minors * i + _drop_table(dim, d).ravel()[hit] + minors * ((a + i) & 1)
+    kept = np.cumsum(keep)
+    return rows * kept[-1] + (kept - 1)[cols], src
+
+
+def frame_rows(pt: GrassPoint, p: int, out: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Write a basis of the tangent space at a point into rows of `out`, mod p.
 
-    Only the columns the mask `keep` marks are written, in order: the rows
-    are the full basis's [:, keep].  `out` is float64 and zero in the rows
-    written; those rows are returned as a view of it.  Generator (i, j)
+    Only the columns the bool mask `keep` marks are written, in order: the
+    rows are the full basis's [:, keep].  `out` is float64 and zero in the
+    rows written; those rows are returned as a view of it.  Generator (i, j)
     replaces point row v_i by e_j; expanding along that row, its coordinate
     at a (k+1)-subset T with j = T[a] is (-1)**(a+i) times the minor of the
     point without row i on T minus T[a], and 0 when j is not in T.  The
-    Plücker row v_0 ^ ... ^ v_k comes first.  Let J be the subset of its
-    first nonzero coordinate.  Then {v_0..v_k} together with
-    {e_j : j not in J} is a basis of K^{n+1}, so a generator (i, j) with j
-    in J is a multiple of the Plücker row plus generators (i, j') with j'
-    not in J.  The rows are the Plücker row, then the generators (i, j)
-    with j not in J, ordered by i then j: (k+1)(n-k)+1 rows.  A point of
-    rank below k+1 mod p has a zero Plücker row and no such basis; it
-    raises ValueError, with nothing written.
+    minors are the point's (GrassPoint.minors_mod), so a sampled point
+    reuses those of its draw.  The Plücker row v_0 ^ ... ^ v_k comes first.
+    Let J be the subset of its first nonzero coordinate.  Then {v_0..v_k}
+    together with {e_j : j not in J} is a basis of K^{n+1}, so a generator
+    (i, j) with j in J is a multiple of the Plücker row plus generators
+    (i, j') with j' not in J.  The rows are the Plücker row, then the
+    generators (i, j) with j not in J, ordered by i then j: (k+1)(n-k)+1
+    rows.  A point of rank below k+1 mod p has a zero Plücker row and no
+    such basis; it raises ValueError, with nothing written.
     """
-    rows = np.asarray(rows, dtype=np.int64) % p
-    d, dim = rows.shape
-    minors = np.stack([maximal_minors_mod(np.delete(rows, i, axis=0), p) for i in range(d)])
-    plucker_row = _expand(rows[0], minors[0], d, p)
+    _, deleted, plucker_row = pt.minors_mod(p)
+    d, dim = pt.rows.shape
     nz = plucker_row.nonzero()[0]
     if not nz.size:
         raise ValueError(f"point has rank below {d} mod {p}: zero Plücker row")
-    idx = _subset_array(dim, d)
-    free = np.ones(dim, dtype=bool)
-    free[idx[nz[0]]] = False
+    dst, src = _scatter_plan(dim, d, int(nz[0]), keep.tobytes())
     out[0] = plucker_row[keep]
-    nfree = dim - d
-    # Entries (T, a) of the table whose generator j = T[a] is written at a
-    # kept T, and each one's value: minor T minus T[a] of row-deleted
-    # matrix i, negated when a+i is odd ([minors, -minors] holds both signs).
-    hit = (free[idx] & keep[:, None]).ravel().nonzero()[0]
-    cols, a = np.divmod(hit, d)
-    slot = (np.cumsum(free) - 1)[idx.ravel()[hit]]
-    i = np.arange(d)[:, None]
-    signed = np.concatenate([minors, (p - minors) % p], axis=1)
-    src = _drop_table(dim, d).ravel()[hit] + minors.shape[1] * ((a + i) & 1)
-    out[1 + nfree * i + slot, (np.cumsum(keep) - 1)[cols]] = signed[i, src]
-    return out[: 1 + d * nfree]
+    np.put(out, dst, np.concatenate([deleted, (p - deleted) % p], axis=1).take(src))
+    return out[: 1 + d * (dim - d)]
 
 
 def random_point(
@@ -183,7 +240,13 @@ def random_point(
     constraint: CoordinateSubspace | None = None,
     p: int = DEFAULT_PRIME,
 ) -> GrassPoint:
-    """Random full-rank point, optionally supported on a coordinate subspace."""
+    """Random point of rank k+1 mod p, optionally supported on a coordinate subspace.
+
+    Each draw fills the support uniformly mod p and is accepted iff its
+    Plücker row mod p is nonzero, that is iff it has rank k+1 mod p on its
+    support; the point keeps the draw's minors (laplace_minors).  After
+    MAX_SAMPLE_ATTEMPTS rejected draws it raises RankDrop.
+    """
     support = constraint.support if constraint is not None else tuple(range(n + 1))
     if len(support) < k + 1:
         raise ValueError(f"support of size {len(support)} cannot carry a {k}-plane")
@@ -191,8 +254,9 @@ def random_point(
     for _ in range(MAX_SAMPLE_ATTEMPTS):
         rows = np.zeros((k + 1, n + 1), dtype=np.int64)
         rows[:, cols] = rng.integers(0, p, size=(k + 1, len(support)), dtype=np.int64)
-        if rank_mod_p(rows[:, cols], p) == k + 1:
-            return GrassPoint(k, n, rows)
+        minors = laplace_minors(rows, p)
+        if minors.plucker.any():
+            return GrassPoint(k, n, rows, minors)
     raise RankDrop(f"no full-rank point after {MAX_SAMPLE_ATTEMPTS} attempts")
 
 

@@ -18,7 +18,8 @@ counts one column mask (grassmann.counted_columns) and ranks the sampled
 rest, written only at the columns left.  Its coordinate points are the
 words of a monomial certificate (codes.monomial_certificate), which meet
 in at most k-2 indices, so their tangent columns are disjoint and the
-count alone reaches s·((k+1)(n-k)+1) (overlapping ones would fall short).
+count alone, s·((k+1)(n-k)+1), needs no mask (`_disjoint_count`); words
+that overlap go through the mask and fall short.
 Otherwise they are the planes `_coordinate_planes` places: on the
 coordinates private to each point's constraint support (or, for free
 points, in no support or span), which a linear map fixing every support
@@ -38,6 +39,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable
 
 import numpy as np
@@ -61,7 +63,8 @@ AUTO_CERTIFICATE_AMBIENT_LIMIT = 200_000
 
 # Most 8-byte entries (1 GiB) a probe may hold at once; larger problems are
 # refused before any table or basis is built.  Gr(2,30) at s2(30) = 57
-# needs about 42 M (_probe_entries); s = 297 is the largest accepted there.
+# needs about 21.5 M (_probe_entries); past s = 53 its basis stops growing,
+# and s = 14 093 646 is the largest accepted there.
 MAX_PROBE_ENTRIES = 2**27
 
 
@@ -98,27 +101,39 @@ def expected_affine_dim(k: int, n: int, s: int) -> int:
     return min(s * tangent_space_dim(k, n), math.comb(n + 1, k + 1))
 
 
-def _probe_entries(k: int, n: int, rows: int) -> int:
-    """Upper bound on the 8-byte entries a probe ranking `rows` frame rows holds.
+def _probe_entries(k: int, n: int, s: int) -> int:
+    """Upper bound on the 8-byte entries a probe of s points holds at once.
 
-    That is the int64 minor tables of every size t <= k+1 (the subset and
-    drop tables, the expansion's products and frame_rows' signed minors,
-    4 t C(n+1, t) entries in all) and, in float64, the frames a trial may
-    rank, the rank kernel's basis E and its temporaries (2 * BLOCK_ROWS
-    rows bound those a block needs at once), at most C(n+1, k+1) columns
-    wide.  Extra spans and coordinate planes add no rows: their
-    columns are counted.  The count stops as soon as the tables pass
+    With d = k+1, c = C(n+1, d) and T = (k+1)(n-k)+1 frame rows, that is:
+    - the int64 minor tables of every size t <= d (the subset and drop
+      tables and the expansion's products, 4 t C(n+1, t) entries in all);
+    - the minors of the point framed and of the one drawn next (d rows of
+      C(n+1, k) and a Plücker row each) and frame_rows' signed copy;
+    - the one scatter plan, 2 index entries for each of at most d*d*c
+      generator entries, and as many again while it is built;
+    - in float64, at most c columns wide: the one T-row frame, the carry of
+      BLOCK_ROWS rows, the rank kernel's basis E (at most min(s*T, c)
+      rows) and its temporaries (2 * BLOCK_ROWS rows bound those a block
+      needs at once);
+    - 8 entries per point for the probe's per-point lists (its constraint
+      slots and sampled indices, a pointer and a Python int each).
+    Extra spans and coordinate planes add no rows: their columns are
+    counted.  The count stops as soon as the tables pass
     MAX_PROBE_ENTRIES, so a huge problem costs no huge binomial.
     """
-    dim = n + 1
+    dim, d = n + 1, k + 1
     tables = 0
     c = 1
-    for t in range(1, k + 2):
-        c = c * (dim - t + 1) // t  # C(dim, t)
+    for t in range(1, d + 1):
+        below, c = c, c * (dim - t + 1) // t  # C(dim, t-1), C(dim, t)
         tables += 4 * t * c
         if tables > MAX_PROBE_ENTRIES:
             return tables
-    return tables + (rows + min(rows, c) + 2 * BLOCK_ROWS) * c
+    frame = tangent_space_dim(k, n)
+    minors = 4 * d * below + 2 * c
+    plan = 4 * d * d * c
+    floats = (frame + BLOCK_ROWS + min(s * frame, c) + 2 * BLOCK_ROWS) * c
+    return tables + minors + plan + floats + 8 * s
 
 
 @dataclass(frozen=True)
@@ -143,7 +158,7 @@ class SecantProblem:
         for sub in list(self.point_constraints or ()) + list(self.extra_spans):
             if sub is not None and sub.n != self.n:
                 raise ValueError("constraint subspace lives in the wrong space")
-        if _probe_entries(self.k, self.n, self.s * tangent_space_dim(self.k, self.n)) > MAX_PROBE_ENTRIES:
+        if _probe_entries(self.k, self.n, self.s) > MAX_PROBE_ENTRIES:
             raise ValueError(
                 f"problem ({self.k}, {self.n}, {self.s}) too large: a probe would hold more than "
                 f"MAX_PROBE_ENTRIES = {MAX_PROBE_ENTRIES} eight-byte entries"
@@ -210,7 +225,8 @@ def _point_rng(problem: SecantProblem, trial: int, index: int) -> np.random.Gene
 def rank_points(points: Iterable[GrassPoint], p: int, basis: Echelon, keep: np.ndarray) -> int:
     """Add the tangent space at each point, at the columns `keep` marks, to `basis`.
 
-    Each point is framed into one reused frame, and the frames' rows join
+    Each point is framed into one reused frame from its minors (a sampled
+    point's are those its draw computed), and the frames' rows join
     the basis through a carry buffer in blocks of BLOCK_ROWS, as a stack of
     all the frames would.  No further point is drawn once the basis spans
     every column.  Returns the basis's rank.
@@ -223,7 +239,7 @@ def rank_points(points: Iterable[GrassPoint], p: int, basis: Echelon, keep: np.n
             frame = np.empty((tangent_space_dim(pt.k, pt.n), width))
             carry = np.empty((BLOCK_ROWS, width))
         frame.fill(0)
-        rows = frame_rows(pt.rows, p, frame, keep)
+        rows = frame_rows(pt, p, frame, keep)
         while len(rows):
             take = min(len(rows), BLOCK_ROWS - filled)
             carry[filled : filled + take] = rows[:take]
@@ -243,6 +259,23 @@ def _certificate(problem: SecantProblem) -> tuple[tuple[int, ...], ...] | None:
         return None
     code = codes.monomial_certificate(problem.k, problem.n, problem.s)
     return None if code is None else code.words[: problem.s]
+
+
+def _disjoint_count(k: int, n: int, words) -> int | None:
+    """The columns the coordinate points on `words` add, when no two share one.
+
+    The tangent columns of e_W are the e_T with |T ∩ W| >= k, so a column
+    of two points W, W' has |W ∩ W'| >= 2k - (k+1) = k-1.  Words of k+1
+    indices meeting pairwise in at most k-2 therefore add disjoint sets of
+    (k+1)(n-k)+1 columns each, len(words) times that in all, and need no
+    mask.  Returns None for any other words.
+    """
+    masks = [sum(1 << i for i in set(word)) for word in words]
+    if any(m.bit_count() != k + 1 for m in masks):
+        return None
+    if any((a & b).bit_count() > k - 2 for a, b in combinations(masks, 2)):
+        return None
+    return len(words) * tangent_space_dim(k, n)
 
 
 def _coordinate_planes(problem: SecantProblem) -> dict[int, tuple[int, ...]]:
@@ -299,7 +332,10 @@ def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | N
     trial's rank is the count of the columns they and the extra spans add
     plus the rank of the tangent spaces at the other points, drawn one at a
     time in index order and framed without those columns (rank_points); a
-    certificate draws no point and needs one trial.
+    certificate draws no point and needs one trial.  The count is
+    s·((k+1)(n-k)+1) without a mask when the certificate's words meet
+    pairwise in at most k-2 indices (`_disjoint_count`), and the mask's
+    otherwise.
 
     A problem with extra spans is a specialization: each constrained point
     must lie in one of the spans, and ambient - achieved counts the
@@ -325,8 +361,11 @@ def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | N
         raise CertificateUnavailable(f"no monomial certificate for (k={problem.k}, n={problem.n}, s={problem.s})")
     placed = _coordinate_planes(problem) if words is None else dict(enumerate(words))
     spans = [span.support for span in problem.extra_spans]
-    counted = counted_columns(problem.n + 1, problem.k + 1, spans, placed.values())
-    count, keep = int(counted.sum()), ~counted
+    count = None if words is None or spans else _disjoint_count(problem.k, problem.n, words)
+    keep = None
+    if count is None:
+        counted = counted_columns(problem.n + 1, problem.k + 1, spans, placed.values())
+        count, keep = int(counted.sum()), ~counted
     sampled = [i for i in range(problem.s) if i not in placed]
     rows = len(sampled) * tangent_space_dim(problem.k, problem.n)
     constraints = problem.point_constraints or (None,) * problem.s

@@ -3,10 +3,12 @@
 `rank_mod_p_reference` is the column-by-column int64 row reduction that
 `fieldcore.rank_mod_p` replaced.  Products of two reduced entries stay
 below 2**63 for every p < 2**31, so it is exact for every prime the package
-accepts.  `maximal_minors_reference` and `full_frame` are the permutation
+accepts.  `reference_point` samples by it, as `grassmann.random_point` did
+before its Plücker-row test.  `maximal_minors_reference` and `full_frame` are the permutation
 expansion and the full tangent frame that `grassmann.maximal_minors_mod`
-and `grassmann.frame_rows` replaced; `tangent_frame` builds the same frame
-from exact wedges and checks its rank.
+and `grassmann.frame_rows` replaced; `basis_frame` takes from the full
+frame the basis rows `frame_rows` writes, and `tangent_frame` builds the
+same frame from exact wedges and checks its rank.
 
 `lexicode_greedy_reference` is the pairwise scan that
 `codes.lexicode_greedy`'s set of shared subsets replaced.
@@ -50,7 +52,15 @@ import numpy as np
 
 from grsecant.extalg import Multivector, subset_rank, subsets_colex, wedge_vectors
 from grsecant.fieldcore import DEFAULT_PRIME, rank_mod_p
-from grsecant.grassmann import CoordinateSubspace, GrassPoint, RankDrop, frame_rows, random_point, tangent_space_dim
+from grsecant.grassmann import (
+    MAX_SAMPLE_ATTEMPTS,
+    CoordinateSubspace,
+    GrassPoint,
+    RankDrop,
+    frame_rows,
+    random_point,
+    tangent_space_dim,
+)
 from grsecant.induction import _require, points_kept_floor
 from grsecant.terracini import SecantProblem, _point_rng
 
@@ -85,6 +95,22 @@ def rank_mod_p_reference(mat, p: int) -> int:
     return r
 
 
+def reference_point(
+    k: int, n: int, rng: np.random.Generator, constraint: CoordinateSubspace | None = None, p: int = DEFAULT_PRIME
+) -> GrassPoint:
+    """The sampling rule that `grassmann.random_point`'s Plücker-row test
+    replaced: draw the support uniformly mod p, rank it with
+    `rank_mod_p_reference`, and redraw a draw of rank below k+1, raising
+    RankDrop after MAX_SAMPLE_ATTEMPTS draws."""
+    cols = list(constraint.support) if constraint is not None else list(range(n + 1))
+    for _ in range(MAX_SAMPLE_ATTEMPTS):
+        rows = np.zeros((k + 1, n + 1), dtype=np.int64)
+        rows[:, cols] = rng.integers(0, p, size=(k + 1, len(cols)), dtype=np.int64)
+        if rank_mod_p_reference(rows[:, cols], p) == k + 1:
+            return GrassPoint(k, n, rows)
+    raise RankDrop(f"no full-rank point after {MAX_SAMPLE_ATTEMPTS} attempts")
+
+
 def sample_points(problem: SecantProblem, trial: int, first: int = 0) -> list[GrassPoint]:
     """The trial's points first..s-1; point i is drawn from its own stream."""
     constraints = problem.point_constraints or (None,) * problem.s
@@ -103,7 +129,7 @@ def tangent_stack(points: Sequence[GrassPoint], p: int, keep: np.ndarray | None 
     stack = np.zeros((len(points) * tangent_space_dim(k, n), int(keep.sum())))
     filled = 0
     for pt in points:
-        filled += len(frame_rows(pt.rows, p, stack[filled:], keep))
+        filled += len(frame_rows(pt, p, stack[filled:], keep))
     return stack
 
 
@@ -211,6 +237,21 @@ def full_frame(rows, p: int) -> np.ndarray:
             flip = (pos_par[j] + i) & 1
             out[i * dim + j, tgt_idx[j]] = np.where(flip == 0, vals, (p - vals) % p)
     return out
+
+
+def basis_frame(rows, p: int) -> np.ndarray:
+    """The tangent basis `grassmann.frame_rows` writes, from `full_frame`.
+
+    The Plücker row (by `maximal_minors_reference`), then the generators
+    (i, j) with j outside the subset J of its first nonzero coordinate
+    (`subset_unrank`), ordered by i then j.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    d, dim = rows.shape
+    plucker_row = maximal_minors_reference(rows, p)
+    J = subset_unrank(int(np.flatnonzero(plucker_row)[0]), dim - 1, d)
+    keep = [i * dim + j for i in range(d) for j in range(dim) if j not in J]
+    return np.vstack([plucker_row[None], full_frame(rows, p)[keep]])
 
 
 @dataclass

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 from oracle import (
+    basis_frame,
     coordinate_point,
     full_frame,
     maximal_minors_reference,
     monomial_tangent_basis,
     span_unit_rows,
     subgrassmannian_span,
-    subset_unrank,
     tangent_frame,
 )
 
@@ -32,10 +32,10 @@ def all_columns(d, dim):
     return np.ones(math.comb(dim, d), dtype=bool)
 
 
-def basis_rows(rows, p):
+def basis_rows(pt, p):
     """The rows frame_rows writes for a point, into a buffer with room for its whole frame."""
-    d, dim = np.shape(rows)
-    return frame_rows(rows, p, np.zeros((d * dim, math.comb(dim, d))), all_columns(d, dim))
+    d, dim = pt.rows.shape
+    return frame_rows(pt, p, np.zeros((d * dim, math.comb(dim, d))), all_columns(d, dim))
 
 
 class TestGrassPoint:
@@ -132,7 +132,7 @@ class TestTangentBasisRows:
         dim = tangent_space_dim(k, n)
         for pt in _basis_points(k, n):
             frame = full_frame(pt.rows, P)
-            basis = basis_rows(pt.rows, P)
+            basis = basis_rows(pt, P)
             assert basis.shape == (dim, math.comb(n + 1, k + 1))
             assert rank_mod_p(basis, P) == dim
             assert rank_mod_p(np.vstack([basis, frame]), P) == dim
@@ -143,7 +143,7 @@ class TestTangentBasisRows:
         # basis vectors for each of the 3 rows.
         pt = coordinate_point(2, 6, (1, 3, 5))
         frame = full_frame(pt.rows, P)
-        basis = basis_rows(pt.rows, P)
+        basis = basis_rows(pt, P)
         keep = [i * 7 + j for i in range(3) for j in (0, 2, 4, 6)]
         assert np.array_equal(basis[1:], frame[keep])
 
@@ -155,20 +155,16 @@ class TestTangentBasisRows:
         # buffer and nowhere else.
         d, dim = k + 1, n + 1
         for pt in _basis_points(k, n, p):
-            frame = full_frame(pt.rows, p)
-            plucker_row = maximal_minors_reference(pt.rows, p)
-            J = subset_unrank(int(np.flatnonzero(plucker_row)[0]), n, d)
-            keep = [i * dim + j for i in range(d) for j in range(dim) if j not in J]
-            expected = np.vstack([plucker_row[None], frame[keep]])
+            expected = basis_frame(pt.rows, p)
             out = np.zeros((d * dim + 2, math.comb(dim, d)))
-            basis = frame_rows(pt.rows, p, out, all_columns(d, dim))
+            basis = frame_rows(pt, p, out, all_columns(d, dim))
             assert basis.dtype == np.float64 and np.shares_memory(basis, out)
             assert np.array_equal(basis, expected)
             assert not out[len(basis) :].any()
             # With a mask, only the kept columns are written, in order.
             kept = np.random.default_rng([k, n, p]).random(expected.shape[1]) < 0.5
             out = np.zeros((d * dim + 2, int(kept.sum())))
-            basis = frame_rows(pt.rows, p, out, kept)
+            basis = frame_rows(pt, p, out, kept)
             assert np.array_equal(basis, expected[:, kept])
             assert not out[len(basis) :].any()
 
@@ -180,7 +176,7 @@ class TestTangentBasisRows:
                 d, dim = np.shape(rows)
                 out = np.zeros((d * dim, math.comb(dim, d)))
                 with pytest.raises(ValueError):
-                    frame_rows(np.array(rows), p, out, all_columns(d, dim))
+                    frame_rows(GrassPoint(d - 1, dim - 1, rows), p, out, all_columns(d, dim))
                 assert not out.any()
 
     def test_int64_bound(self):

@@ -1,12 +1,16 @@
-"""The package holds no test-only code.
+"""The package holds no test-only code, and loads nothing beyond its dependencies.
 
 Every top-level function and class under src/grsecant is referenced
 somewhere in the package outside its own body, exported through
 `grsecant.__all__`, or a click command.  Helpers that only tests call
-belong in tests/oracle.py.
+belong in tests/oracle.py.  Importing `grsecant.cli` loads only the
+standard library, numpy, click and grsecant itself.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -44,3 +48,16 @@ def test_every_top_level_definition_is_used_exported_or_a_command():
         and not _is_command(node)
     ]
     assert unused == []
+
+
+def test_cli_import_loads_only_stdlib_numpy_and_click():
+    # Every start of the command line pays for this import, in a fresh process.
+    script = (
+        "import sys; before = set(sys.modules); import grsecant.cli; "
+        "print(*sorted({name.split('.')[0] for name in set(sys.modules) - before}))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    loaded = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    modules = loaded.stdout.split()
+    assert "numpy" in modules and "grsecant" in modules
+    assert [m for m in modules if m not in sys.stdlib_module_names and m not in ("numpy", "click", "grsecant")] == []

@@ -1,4 +1,5 @@
 import collections
+import copy
 import dataclasses
 import math
 import tracemalloc
@@ -6,10 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from oracle import (
+    basis_frame,
     coordinate_point,
     full_frame,
     monomial_tangent_basis,
     placed_planes,
+    reference_point,
     sample_points,
     stacked_trial_rank,
     subgrassmannian_span,
@@ -17,10 +20,17 @@ from oracle import (
 )
 
 from grsecant import grassmann, induction, terracini
-from grsecant.codes import monomial_certificate
+from grsecant.codes import CodeSet, monomial_certificate
 from grsecant.extalg import subset_rank
 from grsecant.fieldcore import DEFAULT_PRIME, MAX_PRIME, SECOND_PRIME, Echelon, rank_mod_p
-from grsecant.grassmann import CoordinateSubspace, counted_columns, frame_rows, tangent_space_dim
+from grsecant.grassmann import (
+    CoordinateSubspace,
+    RankDrop,
+    counted_columns,
+    frame_rows,
+    random_point,
+    tangent_space_dim,
+)
 from grsecant.induction import certify_theorem, check_prop_a, check_prop_b, check_prop_c, prop_a_supports
 from grsecant.terracini import (
     CertificateUnavailable,
@@ -54,15 +64,16 @@ class TestExpectedDim:
 class TestProblemSize:
     def test_large_supported_problems_admitted(self):
         # Construction only: Gr(2,30) at s2(30) = 57 and the largest benchmark probes.
-        # (2, 30, 297) is the largest s admitted at Gr(2,30): the stack is counted once.
-        for k, n, s in [(2, 30, 57), (2, 24, 38), (2, 20, 27), (4, 14, 6), (2, 30, 297)]:
+        # (2, 30, 14_093_646) is the largest s admitted at Gr(2,30): past s = 53
+        # the basis stops growing, and only the per-point lists grow with s.
+        for k, n, s in [(2, 30, 57), (2, 24, 38), (2, 20, 27), (4, 14, 6), (2, 30, 14_093_646)]:
             SecantProblem(k, n, s)
         L = CoordinateSubspace(30, tuple(range(6, 31)))
         SecantProblem(2, 30, 20, point_constraints=(L,) * 20, extra_spans=(L,))
 
     @pytest.mark.parametrize(
         "k, n, s",
-        [(10, 30, 1), (4, 30, 40), (28, 30, 1), (1, 10**9, 1), (10**6, 10**9, 1), (2, 30, 10**12), (2, 30, 298)],
+        [(10, 30, 1), (4, 30, 40), (28, 30, 1), (1, 10**9, 1), (10**6, 10**9, 1), (2, 30, 10**12), (2, 30, 14_093_647)],
         ids=["ambient", "stack", "minor-tables", "huge-n", "huge-k", "huge-s", "stack-edge"],
     )
     def test_oversized_problem_refused_before_allocating(self, k, n, s):
@@ -260,6 +271,119 @@ class TestSampling:
                 assert all(np.array_equal(a.rows, b.rows) for a, b in zip(rest, every[first:]))
 
 
+def _recorded(monkeypatch, name):
+    """Record every call of terracini.<name>: its arguments (the stream
+    copied before the call) and its result, or the RankDrop it raised, and
+    the stream's state after it."""
+    calls = []
+    original = getattr(terracini, name)
+
+    def recorded(*args):
+        call = {"args": [copy.deepcopy(a) if isinstance(a, np.random.Generator) else a for a in args]}
+        calls.append(call)
+        try:
+            call["result"] = original(*args)
+        except RankDrop as exc:
+            call["result"] = exc
+            raise
+        finally:
+            call["state"] = next((a.bit_generator.state for a in args if isinstance(a, np.random.Generator)), None)
+        if isinstance(call["result"], np.ndarray):
+            call["result"] = call["result"].copy()
+        return call["result"]
+
+    monkeypatch.setattr(terracini, name, recorded)
+    return calls
+
+
+def _assert_matches_reference(draw) -> bool:
+    """A recorded random_point call drew what `reference_point` draws from the
+    same stream and left the stream where it does; True if it raised RankDrop."""
+    k, n, rng, constraint, p = draw["args"]
+    if isinstance(draw["result"], RankDrop):
+        with pytest.raises(RankDrop):
+            reference_point(k, n, rng, constraint, p)
+    else:
+        assert np.array_equal(reference_point(k, n, rng, constraint, p).rows, draw["result"].rows)
+    assert rng.bit_generator.state == draw["state"]
+    return isinstance(draw["result"], RankDrop)
+
+
+def _sampling_problems(p: int, seed: int):
+    """Unconstrained, constrained and spanned problems.  The constrained one
+    samples 39 points a trial on k+1 coordinates, where p = 3 drops rank."""
+    n = 9
+    S = CoordinateSubspace(n, (0, 1, 2))
+    L = CoordinateSubspace(n, (6, 7, 8, 9))
+    yield SecantProblem(2, n, 6, prime=p, seed=seed)
+    yield SecantProblem(1, 4, 4, prime=p, seed=seed)
+    yield SecantProblem(2, n, 42, prime=p, seed=seed, point_constraints=(S,) * 40 + (L, None))
+    yield SecantProblem(2, n, 6, prime=p, seed=seed, point_constraints=(L,) * 4 + (None,) * 2, extra_spans=(L,))
+
+
+class TestSamplingRule:
+    """random_point accepts a draw by its Plücker row; `reference_point` by an
+    elimination rank.  Both must draw the same points from the same streams."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_random_point_matches_reference_at_tiny_primes(self, p):
+        drops = redraws = 0
+        for k, support in [(1, (0, 3)), (2, (1, 2, 5))]:
+            constraint = CoordinateSubspace(6, support)
+            # About one stream in a thousand drops rank 8 times running at p = 3.
+            for seed in range(4000 if p == 3 else 1000):
+                stream = [p, k, seed]
+                rng, ref = np.random.default_rng(stream), np.random.default_rng(stream)
+                try:
+                    pt = random_point(k, 6, rng, constraint, p)
+                except RankDrop:
+                    with pytest.raises(RankDrop):
+                        reference_point(k, 6, ref, constraint, p)
+                    drops += 1
+                else:
+                    assert np.array_equal(pt.rows, reference_point(k, 6, ref, constraint, p).rows)
+                    first = np.random.default_rng(stream).integers(0, p, size=(k + 1, len(support)), dtype=np.int64)
+                    redraws += not np.array_equal(pt.rows[:, list(support)], first)
+                assert rng.bit_generator.state == ref.bit_generator.state
+        assert redraws > 0
+        assert drops > 0 or p != 3
+
+    @pytest.mark.parametrize("p", [3, 5, 7, P, SECOND_PRIME])
+    def test_probe_points_match_reference(self, monkeypatch, p):
+        draws = _recorded(monkeypatch, "random_point")
+        frames = _recorded(monkeypatch, "frame_rows")
+        probes = drops = 0
+        for seed in range(4 if p < 11 else 2):
+            for problem in _sampling_problems(p, seed):
+                try:
+                    probe(problem, target_rank=problem.ambient)
+                except RankDrop:
+                    drops += 1
+                probes += 1
+        assert probes and draws and frames
+        assert sum(_assert_matches_reference(draw) for draw in draws) == drops
+        assert drops > 0 or p != 3
+        # Each frame is the oracle's basis at the columns the probe keeps.
+        for call in frames:
+            pt, q, _, keep = call["args"]
+            assert q == p
+            assert np.array_equal(call["result"], basis_frame(pt.rows, p)[:, keep])
+
+    @pytest.mark.parametrize("p", [3, 7, P])
+    def test_frames_match_reference_at_random_masks(self, p):
+        for k, n in [(1, 6), (2, 9), (3, 9)]:
+            L = CoordinateSubspace(n, tuple(range(k + 2)))
+            problem = SecantProblem(k, n, 4, prime=p, seed=5, point_constraints=(None, L, None, L))
+            points = sample_points(problem, 0)
+            dim = tangent_space_dim(k, n)
+            for mask in range(4):
+                keep = np.random.default_rng([k, n, p, mask]).random(problem.ambient) < 0.6
+                frame = np.zeros((dim, int(keep.sum())))
+                for pt in points:
+                    frame.fill(0)
+                    assert np.array_equal(frame_rows(pt, p, frame, keep), basis_frame(pt.rows, p)[:, keep])
+
+
 class TestTangentStack:
     """A trial's tangent spaces reach the kernel one reused frame at a time."""
 
@@ -290,7 +414,7 @@ class TestTangentStack:
             frame = np.zeros((dim, int(keep.sum())))
             for i, pt in enumerate(points):
                 frame.fill(0)
-                assert np.array_equal(frame_rows(pt.rows, p, frame, keep), stack[i * dim : (i + 1) * dim, keep])
+                assert np.array_equal(frame_rows(pt, p, frame, keep), stack[i * dim : (i + 1) * dim, keep])
             basis = Echelon(int(keep.sum()), len(points) * dim, p)
             assert rank_points(points, p, basis, keep) == rank_mod_p(stack[:, keep], p)
 
@@ -360,7 +484,8 @@ class TestCountedRanks:
     ACCEPTANCE_GRID = [(k, n, s) for k in (2, 3, 4) for n in range(2 * k + 1, 15) for s in range(1, 7)]
 
     def test_monomial_certificate_rank_is_the_count(self):
-        # Words at distance >= 6 have disjoint coordinate tangent spaces.
+        # Words at distance >= 6 have disjoint coordinate tangent spaces: the
+        # closed form a certificate probe counts is the mask's count.
         counted = 0
         for k, n, s in self.ACCEPTANCE_GRID:
             cert = monomial_certificate(k, n, s)
@@ -369,8 +494,20 @@ class TestCountedRanks:
             points = [coordinate_point(k, n, w) for w in cert.words[:s]]
             assert rank_mod_p(tangent_stack(points, P), P) == s * tangent_space_dim(k, n), (k, n, s)
             assert counted_columns(n + 1, k + 1, planes=cert.words[:s]).sum() == s * tangent_space_dim(k, n)
+            assert terracini._disjoint_count(k, n, cert.words[:s]) == s * tangent_space_dim(k, n)
             counted += 1
         assert counted > 50
+
+    def test_overlapping_certificate_goes_through_the_mask(self, monkeypatch):
+        # Two words meeting in k-1 = 1 index share 4 tangent columns: the
+        # mask counts 2 * 22 - 4, and the probe is never certified.
+        words = ((0, 1, 2), (2, 3, 4))
+        code = CodeSet(10, 3, words, distance=4)
+        monkeypatch.setattr(terracini.codes, "monomial_certificate", lambda k, n, s: code)
+        assert terracini._disjoint_count(2, 9, words) is None
+        v = probe(SecantProblem(2, 9, 2, seed=0), strategy="monomial")
+        assert v.verdict is Verdict.INCONCLUSIVE_DEFICIT
+        assert (v.achieved_rank, v.expected_rank) == (40, 44)
 
     @pytest.mark.parametrize("spans", list(_prop_supports()), ids=lambda spans: f"n{spans[0].n}-{len(spans)}spans")
     def test_span_columns_are_the_span_basis(self, spans):
