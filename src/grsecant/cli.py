@@ -388,7 +388,10 @@ def demo_cmd(config: RunConfig, which: str):
         lines = [f"  {r.label:22s} rank {r.rank:2d} (expected {r.expected_rank:2d})" for r in rows]
         _emit(config, _record("demo", {"which": which}, result), *lines, "pass" if passed else "FAIL")
         sys.exit(0 if passed else 1)
-    report = demo_gr37(prime) if which == "gr37" else demo_gr28(prime)
+    try:
+        report = demo_gr37(prime) if which == "gr37" else demo_gr28(prime)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     _emit(
         config,
         _record("demo", {"which": which}, report.to_record(), prime=prime),

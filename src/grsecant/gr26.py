@@ -219,8 +219,12 @@ def _tangent_span_demo(name: str, want: int, variety: str, anchors, samples, sam
     Parameters (c_0, ..., c_m) map to the row space of [c_0 I | ... | c_m I]
     with I of size k+1: a rational normal curve for m = 1, a Veronese
     surface for m = 2.  It must pass through each anchor's point, and the
-    images of the samples must span len(samples) dimensions inside the
-    tangent spans.  The demo passes when that holds and the rank is `want`.
+    images of the samples must lie inside the tangent spans.  The demo
+    passes when that holds and the rank is `want`.
+
+    Raises ValueError when the images span fewer than len(samples)
+    dimensions mod p: the fixed sample parameters collide mod p, so the
+    check would fail whatever the tangent rank.
     """
     points = [pt for _, pt in anchors]
     k, n = points[0].k, points[0].n
@@ -233,7 +237,12 @@ def _tangent_span_demo(name: str, want: int, variety: str, anchors, samples, sam
         ok = rank_exact([image(params).dense(), pluecker(pt).dense()]) <= 1  # proportional
         checks.append(f"{variety}({','.join(map(str, params))}) matches anchor point: {ok}")
     achieved, span, rank = _span_check(points, [image(params) for params in samples], p)
-    in_span = span == len(samples) and rank == achieved
+    if span < len(samples):
+        raise ValueError(
+            f"demo {name} needs another prime: its {len(samples)} fixed {sample_noun} collide mod {p} "
+            f"and span only {span} dimensions"
+        )
+    in_span = rank == achieved
     checks.append(f"{len(samples)} {sample_noun} span {span} dimensions, tangent-stack rank with them {rank}: {in_span}")
     passed = achieved == want and all(c.endswith("True") for c in checks)
     expected = len(points) * tangent_space_dim(k, n)

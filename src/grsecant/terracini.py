@@ -39,7 +39,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable
 
 import numpy as np
@@ -62,9 +62,9 @@ DEFAULT_TRIALS = 3
 AUTO_CERTIFICATE_AMBIENT_LIMIT = 200_000
 
 # Most 8-byte entries (1 GiB) a probe may hold at once; larger problems are
-# refused before any table or basis is built.  Gr(2,30) at s2(30) = 57
-# needs about 21.5 M (_probe_entries); past s = 53 its basis stops growing,
-# and s = 14 093 646 is the largest accepted there.
+# refused before any table or basis is built.  A probe holds nothing per
+# point, so the bound stops growing once s*T rows could span every column:
+# Gr(2,30) needs about 21.5 M (_probe_entries) for every s >= 53.
 MAX_PROBE_ENTRIES = 2**27
 
 
@@ -114,9 +114,8 @@ def _probe_entries(k: int, n: int, s: int) -> int:
     - in float64, at most c columns wide: the one T-row frame, the carry of
       BLOCK_ROWS rows, the rank kernel's basis E (at most min(s*T, c)
       rows) and its temporaries (2 * BLOCK_ROWS rows bound those a block
-      needs at once);
-    - 8 entries per point for the probe's per-point lists (its constraint
-      slots and sampled indices, a pointer and a Python int each).
+      needs at once).
+    A probe holds nothing per point, so s enters only through min(s*T, c).
     Extra spans and coordinate planes add no rows: their columns are
     counted.  The count stops as soon as the tables pass
     MAX_PROBE_ENTRIES, so a huge problem costs no huge binomial.
@@ -133,7 +132,7 @@ def _probe_entries(k: int, n: int, s: int) -> int:
     minors = 4 * d * below + 2 * c
     plan = 4 * d * d * c
     floats = (frame + BLOCK_ROWS + min(s * frame, c) + 2 * BLOCK_ROWS) * c
-    return tables + minors + plan + floats + 8 * s
+    return tables + minors + plan + floats
 
 
 @dataclass(frozen=True)
@@ -309,15 +308,16 @@ def _coordinate_planes(problem: SecantProblem) -> dict[int, tuple[int, ...]]:
     spans that reaches the target certifies it.
     """
     d = problem.k + 1
-    constraints = problem.point_constraints or (None,) * problem.s
-    classes = [None if sub is None else sub.support for sub in constraints]
-    members = {c for c in classes if c is not None} | {span.support for span in problem.extra_spans}
+    constraints = problem.point_constraints
+    classes = (None,) if constraints is None else dict.fromkeys(constraints)
+    members = {sub.support for sub in classes if sub is not None} | {span.support for span in problem.extra_spans}
     placed = {}
-    for cls in dict.fromkeys(classes):
-        taken = set().union(*(members - {cls}))
-        private = [c for c in cls or range(problem.n + 1) if c not in taken]
-        points = [i for i, c in enumerate(classes) if c == cls]
-        for j, i in enumerate(points[: len(private) // d]):
+    for cls in classes:
+        support = None if cls is None else cls.support
+        taken = set().union(*(members - {support}))
+        private = [c for c in support or range(problem.n + 1) if c not in taken]
+        points = range(problem.s) if constraints is None else (i for i, sub in enumerate(constraints) if sub == cls)
+        for j, i in enumerate(islice(points, len(private) // d)):
             placed[i] = tuple(private[j * d : j * d + d])
     return placed
 
@@ -332,7 +332,9 @@ def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | N
     trial's rank is the count of the columns they and the extra spans add
     plus the rank of the tangent spaces at the other points, drawn one at a
     time in index order and framed without those columns (rank_points); a
-    certificate draws no point and needs one trial.  The count is
+    certificate draws no point and needs one trial.  Nothing is held per
+    point: the indices are drawn lazily, so past full width a larger s is free.
+    The count is
     s·((k+1)(n-k)+1) without a mask when the certificate's words meet
     pairwise in at most k-2 indices (`_disjoint_count`), and the mask's
     otherwise.
@@ -361,20 +363,19 @@ def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | N
         raise CertificateUnavailable(f"no monomial certificate for (k={problem.k}, n={problem.n}, s={problem.s})")
     placed = _coordinate_planes(problem) if words is None else dict(enumerate(words))
     spans = [span.support for span in problem.extra_spans]
-    count = None if words is None or spans else _disjoint_count(problem.k, problem.n, words)
+    count = None if words is None else _disjoint_count(problem.k, problem.n, words)
     keep = None
     if count is None:
         counted = counted_columns(problem.n + 1, problem.k + 1, spans, placed.values())
         count, keep = int(counted.sum()), ~counted
-    sampled = [i for i in range(problem.s) if i not in placed]
-    rows = len(sampled) * tangent_space_dim(problem.k, problem.n)
-    constraints = problem.point_constraints or (None,) * problem.s
+    rows = (problem.s - len(placed)) * tangent_space_dim(problem.k, problem.n)
+    constraints = problem.point_constraints
     best = 0
     trials_used = 0
     for trial in range(problem.trials):
         points = (
-            random_point(problem.k, problem.n, _point_rng(problem, trial, i), constraints[i], problem.prime)
-            for i in sampled
+            random_point(problem.k, problem.n, _point_rng(problem, trial, i), constraints and constraints[i], problem.prime)
+            for i in range(problem.s) if i not in placed
         )
         rank = count + rank_points(points, problem.prime, Echelon(ambient - count, rows, problem.prime), keep)
         trials_used = trial + 1

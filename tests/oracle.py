@@ -452,14 +452,20 @@ def cache_replay_reference(lines: list[bytes], key: str, replays=None) -> tuple[
 def lexicode_greedy_reference(length: int, weight: int, min_distance: int = 6) -> tuple[tuple[int, ...], ...]:
     """The greedy lexicode's words by the pairwise scan: each weight-w support,
     in colex order, is kept when it meets every kept word in at most
-    w - d/2 elements.  Words are bitmasks, so a popcount of their AND
-    counts the common elements."""
+    w - d/2 elements.  Words are uint16 bitmasks, so one gather from a
+    popcount table at their ANDs with a support counts its common elements
+    with every kept word.  Lengths above 16 are refused."""
+    if length > 16:
+        raise ValueError(f"length {length} does not fit the uint16 masks")
+    popcount = np.zeros(1, dtype=np.uint8)
+    for _ in range(16):
+        popcount = np.concatenate([popcount, popcount + 1])  # the top bit adds one
     max_overlap = weight - min_distance // 2
     kept: list[tuple[int, ...]] = []
-    masks: list[int] = []
+    masks = np.empty(math.comb(length, weight), dtype=np.uint16)
     for cand in subsets_colex(length, weight):
         mask = sum(1 << i for i in cand)
-        if all((word & mask).bit_count() <= max_overlap for word in masks):
-            masks.append(mask)
+        if (popcount[masks[: len(kept)] & mask] <= max_overlap).all():
+            masks[len(kept)] = mask
             kept.append(cand)
     return tuple(kept)

@@ -26,6 +26,20 @@ def invoke(runner, tmp_path, *args):
     return runner.invoke(main, ["--cache-dir", str(tmp_path / "cache"), *args])
 
 
+def invoke_in_1gib(tmp_path, *args):
+    """Run the CLI in a fresh interpreter under a 1 GiB address-space limit,
+    so that work which outgrew it would fail at once instead of filling memory."""
+    script = (
+        "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+        "from grsecant.cli import main; main()"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cache_module.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", script, "--cache-dir", str(tmp_path / "cache"), *args],
+        capture_output=True, env=env, text=True, timeout=120,
+    )
+
+
 class TestCheck:
     def test_defective_case(self, runner, tmp_path):
         result = invoke(runner, tmp_path, "check", "-k", "2", "-n", "6", "-s", "3")
@@ -59,22 +73,19 @@ class TestCheck:
     )
     def test_oversized_problem_is_usage_error(self, tmp_path, args, bound):
         # Ambient C(31, 11) = 84 672 315 for check, Gr(2,100) at s2 for scan,
-        # and 3e7 values of n for the formula ranges.  Run under a 1 GiB
-        # address-space limit, so that work which did start would fail at
-        # once instead of filling memory.
-        script = (
-            "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
-            "from grsecant.cli import main; main()"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(cache_module.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
-        result = subprocess.run(
-            [sys.executable, "-c", script, "--cache-dir", str(tmp_path / "cache"), *args],
-            capture_output=True, env=env, text=True, timeout=120,
-        )
+        # and 3e7 values of n for the formula ranges.
+        result = invoke_in_1gib(tmp_path, *args)
         assert result.returncode == 2
         assert result.stdout == ""
         assert "too large" in result.stderr and bound in result.stderr
         assert "Traceback" not in result.stderr
+
+    def test_huge_s_fills_in_bounded_memory(self, tmp_path):
+        # A probe holds nothing per point, so s = 10^12 draws the same 18
+        # points as s2(20) = 27 and fits the same 1 GiB.
+        result = invoke_in_1gib(tmp_path, "check", "-k", "2", "-n", "20", "-s", "1000000000000")
+        assert result.returncode == 0, result.stderr
+        assert "CertifiedFills achieved 1330 / expected 1330" in result.stdout
 
     def test_bad_prime(self, runner, tmp_path):
         result = runner.invoke(main, ["--prime", "32001", "check", "-k", "2", "-n", "6", "-s", "3"])
@@ -813,6 +824,15 @@ class TestDemo:
 
     def test_unknown(self, runner, tmp_path):
         assert invoke(runner, tmp_path, "demo", "gr99").exit_code == 2
+
+    @pytest.mark.parametrize("which, prime", [("gr37", 3), ("gr37", 5), ("gr28", 3), ("gr28", 5), ("gr28", 7)])
+    def test_colliding_samples_are_usage_error(self, runner, tmp_path, which, prime):
+        # The fixed sample parameters collide mod these primes, so their
+        # images span too few dimensions whatever the tangent rank.
+        result = invoke(runner, tmp_path, "--prime", str(prime), "demo", which)
+        assert result.exit_code == 2
+        assert f"collide mod {prime}" in result.output
+        assert "Traceback" not in result.output and "FAIL" not in result.output
 
 
 class TestFormulas:

@@ -220,6 +220,17 @@ class TestDemos:
         rec = demo_gr37().to_record()
         assert rec["achieved"] == 50 and rec["passed"] is True
 
+    @pytest.mark.parametrize("demo, p, span", [(demo_gr37, 3, 3), (demo_gr37, 5, 4), (demo_gr28, 7, 9)])
+    def test_colliding_samples_raise(self, demo, p, span):
+        # The tangent rank is right at these primes; only the samples' images
+        # lose dimensions, so the demo refuses the prime instead of failing.
+        with pytest.raises(ValueError, match=f"collide mod {p} and span only {span} dimensions"):
+            demo(p)
+
+    @pytest.mark.parametrize("demo", [demo_gr37, demo_gr28])
+    def test_small_prime_without_collision_passes(self, demo):
+        assert demo(11).to_record() == demo().to_record()
+
 
 class TestHelpers:
     def test_random_decomposable_is_decomposable(self):

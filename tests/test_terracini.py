@@ -63,22 +63,26 @@ class TestExpectedDim:
 
 class TestProblemSize:
     def test_large_supported_problems_admitted(self):
-        # Construction only: Gr(2,30) at s2(30) = 57 and the largest benchmark probes.
-        # (2, 30, 14_093_646) is the largest s admitted at Gr(2,30): past s = 53
-        # the basis stops growing, and only the per-point lists grow with s.
-        for k, n, s in [(2, 30, 57), (2, 24, 38), (2, 20, 27), (4, 14, 6), (2, 30, 14_093_646)]:
+        # Construction only: Gr(2,30) at s2(30) = 57, the largest benchmark probes, and s far past full width.
+        for k, n, s in [(2, 30, 57), (2, 24, 38), (2, 20, 27), (4, 14, 6), (2, 30, 14_093_647), (2, 30, 10**12)]:
             SecantProblem(k, n, s)
         L = CoordinateSubspace(30, tuple(range(6, 31)))
         SecantProblem(2, 30, 20, point_constraints=(L,) * 20, extra_spans=(L,))
 
     @pytest.mark.parametrize(
         "k, n, s",
-        [(10, 30, 1), (4, 30, 40), (28, 30, 1), (1, 10**9, 1), (10**6, 10**9, 1), (2, 30, 10**12), (2, 30, 14_093_647)],
-        ids=["ambient", "stack", "minor-tables", "huge-n", "huge-k", "huge-s", "stack-edge"],
+        [(10, 30, 1), (4, 30, 40), (28, 30, 1), (1, 10**9, 1), (10**6, 10**9, 1)],
+        ids=["ambient", "stack", "minor-tables", "huge-n", "huge-k"],
     )
     def test_oversized_problem_refused_before_allocating(self, k, n, s):
         with pytest.raises(ValueError, match="MAX_PROBE_ENTRIES"):
             SecantProblem(k, n, s)
+
+    def test_bound_stops_growing_past_full_width(self):
+        # A probe holds nothing per point: s enters only through the basis,
+        # min(s * 85, 4495) rows at Gr(2,30), which saturates at s = 53.
+        assert terracini._probe_entries(2, 30, 52) < terracini._probe_entries(2, 30, 53)
+        assert len({terracini._probe_entries(2, 30, s) for s in (53, 54, 57, 10**6, 14_093_647, 10**12, 10**30)}) == 1
 
     def test_extra_spans_add_no_stack_rows(self):
         # Span columns are counted, not stacked, so a span adds nothing to
@@ -224,6 +228,19 @@ class TestTracedCallSites:
         assert calls["frame_rows"] == calls["random_point"] == sampled
 
 
+def _count_draws(monkeypatch) -> collections.Counter:
+    """Count the calls of terracini.random_point under "random_point"."""
+    calls = collections.Counter()
+    draw = terracini.random_point
+
+    def counted(*args):
+        calls["random_point"] += 1
+        return draw(*args)
+
+    monkeypatch.setattr(terracini, "random_point", counted)
+    return calls
+
+
 class TestStreaming:
     """Gr(2,20) at s2(20) = 27: 7 coordinate planes are counted, 385 of the
     1330 columns, and the sampled points' frames are ranked at the other 945."""
@@ -231,17 +248,30 @@ class TestStreaming:
     def test_stops_drawing_once_every_column_is_spanned(self, monkeypatch):
         # 17 frames of 55 rows cannot span 945 columns; 18 do, so the last 2
         # of the 20 sampled points are never drawn.
-        calls = collections.Counter()
-        draw = terracini.random_point
-
-        def counted(*args):
-            calls["random_point"] += 1
-            return draw(*args)
-
-        monkeypatch.setattr(terracini, "random_point", counted)
+        calls = _count_draws(monkeypatch)
         v = probe(SecantProblem(2, 20, 27, seed=0))
         assert v.verdict is Verdict.CERTIFIED_FILLS
         assert calls["random_point"] == 18
+
+    def test_s_past_full_width_costs_nothing(self, monkeypatch):
+        # At s = 10^6 the probe places the same 7 planes, draws the same 18
+        # points and holds as much as at s = 27: nothing is kept per point.
+        calls = _count_draws(monkeypatch)
+        runs = []
+        for s in (27, 10**6):
+            problem = SecantProblem(2, 20, s, seed=0)
+            probe(problem)  # fills the minor tables' caches
+            calls.clear()
+            tracemalloc.start()
+            try:
+                v = probe(problem)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            runs.append(((v.achieved_rank, v.trials_used, calls["random_point"]), peak))
+        (small, small_peak), (huge, huge_peak) = runs
+        assert small == huge == (1330, 1, 18)
+        assert huge_peak - small_peak < 2 * 2**20
 
     def test_peak_memory_is_the_basis(self):
         # No stack: beside the 945 x 945 float64 basis E a probe holds one
@@ -662,14 +692,7 @@ class TestPlacement:
         # Prop. C at n = 14 places 3 of its 4 points on L = {6..14} and 2 of
         # its 7 free points on {0..5}; Prop. A has no private coordinate.
         # (Unconstrained Gr(2,20) at s = 27: TestStreaming draws 18.)
-        calls = collections.Counter()
-        draw = terracini.random_point
-
-        def counted(*args):
-            calls["random_point"] += 1
-            return draw(*args)
-
-        monkeypatch.setattr(terracini, "random_point", counted)
+        calls = _count_draws(monkeypatch)
         assert check(*args).passed
         assert calls["random_point"] == draws
 
