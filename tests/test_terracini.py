@@ -63,16 +63,18 @@ class TestExpectedDim:
 
 class TestProblemSize:
     def test_large_supported_problems_admitted(self):
-        # Construction only: Gr(2,30) at s2(30) = 57, the largest benchmark probes, and s far past full width.
-        for k, n, s in [(2, 30, 57), (2, 24, 38), (2, 20, 27), (4, 14, 6), (2, 30, 14_093_647), (2, 30, 10**12)]:
+        # Construction only: Gr(2,30) at s2(30) = 57, the largest benchmark probes, s far past
+        # full width, and Gr(3,30) at s = 36, the largest s admitted there (the basis still grows).
+        cases = [(2, 30, 57), (2, 24, 38), (2, 20, 27), (4, 14, 6), (2, 30, 14_093_647), (2, 30, 10**12), (3, 30, 36)]
+        for k, n, s in cases:
             SecantProblem(k, n, s)
         L = CoordinateSubspace(30, tuple(range(6, 31)))
         SecantProblem(2, 30, 20, point_constraints=(L,) * 20, extra_spans=(L,))
 
     @pytest.mark.parametrize(
         "k, n, s",
-        [(10, 30, 1), (4, 30, 40), (28, 30, 1), (1, 10**9, 1), (10**6, 10**9, 1)],
-        ids=["ambient", "stack", "minor-tables", "huge-n", "huge-k"],
+        [(10, 30, 1), (4, 30, 40), (28, 30, 1), (1, 10**9, 1), (10**6, 10**9, 1), (3, 30, 10**12), (3, 30, 37)],
+        ids=["ambient", "stack", "minor-tables", "huge-n", "huge-k", "huge-s", "stack-edge"],
     )
     def test_oversized_problem_refused_before_allocating(self, k, n, s):
         with pytest.raises(ValueError, match="MAX_PROBE_ENTRIES"):
