@@ -165,7 +165,7 @@ class ResultCache:
             for line in self._untried(key):
                 try:
                     entry = json.loads(line)
-                except ValueError:
+                except (ValueError, RecursionError):  # a body nested too deep does not decode
                     entry = None
                 if _is_entry(entry) and entry["key"] == key and (replays is None or replays(entry["record"])):
                     self._records[key] = entry["record"]

@@ -4,11 +4,12 @@ Formula evaluation is exact and floating point never touches a threshold.
 The formulas the certificate uses are integer closed forms, one numerator
 over a common denominator, floored by integer division (a ceiling is
 -(-a // b)); the paper's rational forms are kept where they are reported.
-The base-case checks place constrained random points against
-coordinate-subspace spans and compare exact GF(p) ranks with the predicted
-targets.  Everything in a certificate's record but those ranks follows from
-the formulas, which is how `replays` checks a cached record without
-computing a rank.
+Every base case, the direct probes at s1/s2 included, takes one route:
+`_plan` gives its target rank and point counts, `_configuration` its
+coordinate-subspace spans and each point's constraint, and `_check` probes
+that layout for an exact GF(p) rank.  Everything in a certificate's record
+but those ranks follows from the formulas (`_plan`), which is how `replays`
+checks a cached record without building a layout or computing a rank.
 """
 
 from __future__ import annotations
@@ -177,10 +178,6 @@ class PropCheck:
         return rec
 
 
-def _span(n: int, support) -> CoordinateSubspace:
-    return CoordinateSubspace(n, tuple(support))
-
-
 def _plan(prop: str, n: int, variant: str | None) -> tuple[int, dict]:
     """A base case's target rank and the point counts its record carries."""
     if prop == "a":
@@ -195,6 +192,21 @@ def _plan(prop: str, n: int, variant: str | None) -> tuple[int, dict]:
         return ambient(n) - missing, {"points_on_span": f, "free_points": s}
     s = s1(n) if variant == "s1" else s2(n)
     return expected_affine_dim(2, n, s), {"s": s}
+
+
+def _configuration(prop: str, n: int, counts: dict) -> tuple[tuple[CoordinateSubspace, ...], tuple]:
+    """A base case's spans and each point's constraint (None if free), from `_plan`'s counts."""
+    if prop == "a":
+        spans = prop_a_supports(n)
+        return spans, tuple(span for span in spans for _ in range(4))
+    L = CoordinateSubspace(n, tuple(range(6, n + 1)))
+    if prop == "b":
+        M = CoordinateSubspace(n, tuple(range(0, n - 5)))
+        s = counts["points_per_span"]
+        return (L, M), (L,) * s + (M,) * s + (None,) * 4
+    if prop == "c":
+        return (L,), (L,) * counts["points_on_span"] + (None,) * counts["free_points"]
+    return (), (None,) * counts["s"]
 
 
 def _base_case(prop: str, n: int, variant: str | None, achieved: int, span_rank: int | None = None) -> PropCheck:
@@ -218,27 +230,14 @@ def _base_case(prop: str, n: int, variant: str | None, achieved: int, span_rank:
     return PropCheck(prop, n, variant, target, achieved, amb, amb - target, amb - achieved, passed, span_rank, details)
 
 
-def _achieved_rank(
-    prop: str,
-    n: int,
-    variant: str | None,
-    spans: tuple[CoordinateSubspace, ...],
-    constraints: list[CoordinateSubspace | None],
-    prime: int,
-    seed: int,
-    trials: int,
-) -> int:
-    problem = SecantProblem(
-        k=2,
-        n=n,
-        s=len(constraints),
-        prime=prime,
-        seed=seed,
-        trials=trials,
-        point_constraints=tuple(constraints),
-        extra_spans=spans,
-    )
-    return probe(problem, target_rank=_plan(prop, n, variant)[0]).achieved_rank
+def _check(prop: str, n: int, variant: str | None, prime: int, seed: int, trials: int) -> PropCheck:
+    """Probe a base case's configuration against its target rank."""
+    target, counts = _plan(prop, n, variant)
+    spans, constraints = _configuration(prop, n, counts)
+    problem = SecantProblem(2, n, len(constraints), prime, seed, trials, point_constraints=constraints, extra_spans=spans)
+    achieved = probe(problem, target_rank=target).achieved_rank
+    span_rank = int(counted_columns(n + 1, 3, [span.support for span in spans]).sum()) if prop == "a" else None
+    return _base_case(prop, n, variant, achieved, span_rank)
 
 
 def prop_a_supports(n: int) -> tuple[CoordinateSubspace, CoordinateSubspace, CoordinateSubspace]:
@@ -246,9 +245,9 @@ def prop_a_supports(n: int) -> tuple[CoordinateSubspace, CoordinateSubspace, Coo
     if n < 17:
         raise ValueError("the three-span configuration needs n >= 17")
     all_idx = range(n + 1)
-    L = _span(n, (i for i in all_idx if i >= 6))
-    M = _span(n, (i for i in all_idx if i < 6 or i >= 12))
-    N = _span(n, (i for i in all_idx if i < 12 or i >= 18))
+    L = CoordinateSubspace(n, tuple(i for i in all_idx if i >= 6))
+    M = CoordinateSubspace(n, tuple(i for i in all_idx if i < 6 or i >= 12))
+    N = CoordinateSubspace(n, tuple(i for i in all_idx if i < 12 or i >= 18))
     return L, M, N
 
 
@@ -264,11 +263,7 @@ def check_prop_a(
     rank counts the Plücker coordinates inside some span); the twelve
     tangent frames contribute 18 fresh conditions apiece.
     """
-    L, M, N = prop_a_supports(n)
-    spans = (L, M, N)
-    constraints: list[CoordinateSubspace | None] = [L] * 4 + [M] * 4 + [N] * 4
-    achieved = _achieved_rank("a", n, None, spans, constraints, prime, seed, trials)
-    return _base_case("a", n, None, achieved, int(counted_columns(n + 1, 3, [s.support for s in spans]).sum()))
+    return _check("a", n, None, prime, seed, trials)
 
 
 def check_prop_b(
@@ -290,11 +285,7 @@ def check_prop_b(
         raise ValueError("needs n >= 11")
     if variant not in ("floor", "ceil"):
         raise ValueError("variant must be floor or ceil")
-    s = _plan("b", n, variant)[1]["points_per_span"]
-    L = _span(n, range(6, n + 1))
-    M = _span(n, range(0, n - 5))
-    constraints: list[CoordinateSubspace | None] = [L] * s + [M] * s + [None] * 4
-    return _base_case("b", n, variant, _achieved_rank("b", n, variant, (L, M), constraints, prime, seed, trials))
+    return _check("b", n, variant, prime, seed, trials)
 
 
 def check_prop_c(
@@ -314,22 +305,11 @@ def check_prop_c(
         raise ValueError("needs n >= 9")
     if variant not in ("floor", "ceil"):
         raise ValueError("variant must be floor or ceil")
-    counts = _plan("c", n, variant)[1]
-    L = _span(n, range(6, n + 1))
-    constraints: list[CoordinateSubspace | None] = [L] * counts["points_on_span"] + [None] * counts["free_points"]
-    return _base_case("c", n, variant, _achieved_rank("c", n, variant, (L,), constraints, prime, seed, trials))
+    return _check("c", n, variant, prime, seed, trials)
 
 
-def _probe_base(
-    n: int,
-    which: str,
-    prime: int,
-    seed: int,
-    trials: int,
-) -> PropCheck:
-    s = _plan("probe", n, which)[1]["s"]
-    verdict = probe(SecantProblem(k=2, n=n, s=s, prime=prime, seed=seed, trials=trials))
-    return _base_case("probe", n, which, verdict.achieved_rank)
+def _probe_base(n: int, which: str, prime: int, seed: int, trials: int) -> PropCheck:
+    return _check("probe", n, which, prime, seed, trials)
 
 
 # certify_theorem's base cases as (prop, n, variant), in the order it checks them.

@@ -437,7 +437,7 @@ def cache_replay_reference(lines: list[bytes], key: str, replays=None) -> tuple[
     for skipped, line in enumerate(lines):
         try:
             entry = json.loads(line)
-        except ValueError:
+        except (ValueError, RecursionError):
             continue
         if (
             isinstance(entry, dict)

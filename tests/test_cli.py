@@ -399,13 +399,19 @@ class TestCacheIndex:
     def test_corrupt_body_falls_through_to_next_line(self, runner, tmp_path):
         args, first, cache_file, line = _cold_check(runner, tmp_path, "-k", "2", "-n", "6", "-s", "3")
         key = json.loads(line)["key"]
-        corrupt = '{"key": "%s", "record": {"command": "probe", "result": {oops}}' % key
-        cache_file.write_text(corrupt + "\n" + line + "\n")
-        replay = invoke(runner, tmp_path, *args)
-        assert replay.exit_code == 0
-        assert replay.stdout == first.stdout
-        assert "skipped 1 undecodable line(s)" in replay.stderr
-        assert cache_file.read_text().splitlines() == [corrupt, line]
+        # A body that is not JSON, and one nested past the recursion limit.
+        for corrupt in (
+            '{"key": "%s", "record": {"command": "probe", "result": {oops}}' % key,
+            '{"key": "%s", "record": {"command": "probe", "result": %s}}' % (key, "[" * 100_000 + "]" * 100_000),
+        ):
+            cache_file.write_text(corrupt + "\n" + line + "\n")
+            replay = invoke(runner, tmp_path, *args)
+            assert replay.exit_code == 0
+            assert replay.stdout == first.stdout
+            assert replay.stderr == (
+                f"warning: skipped 1 undecodable line(s) in {cache_file}: did not decode or failed the replay check\n"
+            )
+            assert cache_file.read_text().splitlines() == [corrupt, line]
 
     def test_warning_names_load_cause(self, runner, tmp_path):
         args, first, cache_file, line = _cold_check(runner, tmp_path, "-k", "2", "-n", "6", "-s", "3")

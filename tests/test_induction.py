@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -222,6 +224,32 @@ class TestCertificate:
         with pytest.raises(ValueError):
             certify_theorem(13)
 
+    @pytest.mark.parametrize(
+        "prime, digest",
+        [
+            (DEFAULT_PRIME, "3ed982b45af773bbaba12a37c891bdb5bc4324dc90b02843b24a1e2477e20d8f"),
+            (SECOND_PRIME, "4d2398f09234e2cef7f78d2fb4c3478d1e8b51c29d5fd3e5cfb818ade61ad4c3"),
+        ],
+    )
+    def test_record_bytes_pinned(self, prime, digest):
+        # Cached induction records replay only while these bytes stay put.
+        record = certify_theorem(50, prime, 0).to_record()
+        assert hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest() == digest
+
+    def test_base_cases_called_through_module_attributes(self, monkeypatch):
+        # The induction-cert benchmark rebinds these names on the module and
+        # times each call as one operation.
+        calls = dict.fromkeys(("check_prop_a", "check_prop_b", "check_prop_c", "_probe_base"), 0)
+        for name in calls:
+
+            def counted(*args, name=name, original=getattr(induction, name), **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(induction, name, counted)
+        assert certify_theorem(50).passed
+        assert calls == {"check_prop_a": 1, "check_prop_b": 12, "check_prop_c": 12, "_probe_base": 12}
+
     def test_spot_probe_beyond_base_range(self):
         v1 = probe(SecantProblem(2, 15, s1(15), seed=0))
         assert v1.verdict is Verdict.CERTIFIED_EXPECTED
@@ -249,8 +277,9 @@ def _set(path, value):
 class TestReplays:
     def test_written_record_replays_without_computing_a_rank(self, record14, monkeypatch):
         def no_rank(*args, **kwargs):
-            raise AssertionError("replays computed a rank")
+            raise AssertionError("replays built a layout or computed a rank")
 
+        monkeypatch.setattr(induction, "_configuration", no_rank)
         monkeypatch.setattr(induction, "probe", no_rank)
         monkeypatch.setattr(induction, "rank_mod_p", no_rank)
         assert replays(14, DEFAULT_PRIME, 0, record14)

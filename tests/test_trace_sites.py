@@ -23,7 +23,9 @@ def test_trace_site_is_callable(owner, attribute, layer):
 
 
 # cli-replay is left out: its `prepare` runs the full `induction --n-max 50`
-# through the CLI before any pass, several seconds on its own.
+# through the CLI before any pass, several seconds on its own.  The CI step
+# "Traced cli-replay benchmark run" (.github/workflows/tier1.yml) runs it
+# traced on the Python 3.11 leg instead.
 @pytest.mark.parametrize("name", ["threshold-probe", "induction-cert", "small-grid"])
 def test_every_busy_layer_records_calls(tmp_path, name):
     workload = WORKLOADS[name](seed=3, workdir=tmp_path)
