@@ -7,7 +7,10 @@ GEMM_DEPTH such products between two reductions: the forward substitution
 of a block counts the products its rows have taken (its depth) and reduces
 the whole block before the count would pass GEMM_DEPTH, and inside its
 block a row takes fewer than BLOCK_ROWS <= GEMM_DEPTH products before it
-is reduced.  So every value stays below GEMM_DEPTH * (p-1)**2 + p < 2**53
+is reduced.  Scaling by a pivot's inverse, which lies in [1, p), is such a
+product too: the coefficient column of each rank-1 update, and a slice's
+new rows, are reduced before they are multiplied by an inverse and reduced
+again after.  So every value stays below GEMM_DEPTH * (p-1)**2 + p < 2**53
 and is exact through the products, the subtractions and the reduction.
 MAX_PRIME is the largest prime meeting that bound; larger moduli are
 refused.  Exact work over the integers (ranks, determinants, cube roots)
@@ -97,9 +100,9 @@ def _float_block(block: np.ndarray, p: int) -> np.ndarray:
     """
     if block.dtype == np.float64:
         return _reduce(block.copy(), p)
-    if block.dtype == object:
-        # Python big integers: reduce first, then narrow.
-        block = (block % p).astype(np.int64)
+    if block.dtype.kind in "uO":
+        # Unsigned words and Python big integers may not fit int64: reduce first, then narrow.
+        block = block.astype(np.uint64 if block.dtype.kind == "u" else object, copy=False) % p
     return np.remainder(block.astype(np.int64, copy=False), p).astype(np.float64)
 
 
@@ -122,55 +125,58 @@ def _forward(B: np.ndarray, E: np.ndarray, blocks: list[tuple[int, int]], pivots
         B -= _reduce(B[:, pivots[lo:hi]], p) @ E[lo:hi]
 
 
-def _eliminate_block(B: np.ndarray, E: np.ndarray, r: int, p: int) -> list[int]:
-    """Gauss-Jordan elimination of a block whose rows are clear of E[:r].
+def _eliminate_block(B: np.ndarray, p: int) -> list[int]:
+    """Gauss-Jordan elimination of a block, in place.
 
-    The independent rows are written, reduced on each other's pivots and
-    scaled to 1 there, to E[r:], in row order.  Rows are eliminated
+    The independent rows, reduced on each other's pivots and scaled to 1
+    there, end in B[:len(found)], in row order: a row is dependent exactly
+    when it lies in the span of the rows before it.  Rows are eliminated
     SLICE_ROWS at a time.  A slice is first reduced against the rows found
     so far (one GEMM), then eliminated row by row with rank-1 updates that
-    touch only the slice, and its new pivots are then cleared from the rows
-    found before it (a second GEMM).  A slice enters reduced and takes
-    fewer than len(B) <= GEMM_DEPTH products before each row is reduced.
-    Returns the pivot column of each independent row.
+    touch only the slice.  A pivot row is not scaled: the update's
+    coefficient column, reduced, is multiplied by the pivot's inverse and
+    reduced again.  The slice's new rows are then reduced, scaled to 1 on
+    their pivots, reduced, and cleared from the rows found before them (a
+    second GEMM).  A slice enters reduced and takes fewer than
+    len(B) <= GEMM_DEPTH products before each row is reduced.  Returns the
+    pivot column of each independent row.
     """
     found: list[int] = []
     for lo in range(0, len(B), SLICE_ROWS):
         S = _reduce(B[lo : lo + SLICE_ROWS], p)
         f = len(found)
         if f:
-            S -= S[:, found] @ E[r : r + f]
-        new = []
+            S -= S[:, found] @ B[:f]
+        new, inverses = [], []
         for i in range(len(S)):
             row = _reduce(S[i], p)
             nz = row.nonzero()[0]
             if nz.size == 0:
                 continue
             c = int(nz[0])
-            row *= pow(int(row[c]), -1, p)
-            _reduce(row, p)
-            col = _reduce(S[:, c].copy(), p)
+            inverses.append(pow(int(row[c]), -1, p))
+            col = np.remainder(np.remainder(S[:, c], p) * inverses[-1], p)
             col[i] = 0
             S -= np.outer(col, row)
             new.append(i)
             found.append(c)
         if not new:
             continue
-        N = _reduce(S[new], p)
+        N = _reduce(_reduce(S[new], p) * np.array(inverses)[:, None], p)
         if f:
-            F = E[r : r + f]
+            F = B[:f]
             F -= F[:, found[f:]] @ N
             _reduce(F, p)
-        E[r + f : r + len(found)] = N
+        B[f : len(found)] = N
     return found
 
 
 class Echelon:
-    """rank_mod_p's state: the basis E[:rank] of at most `rows` rows `ncols` wide, its pivots and blocks."""
+    """rank_mod_p's state: the basis E[:rank] of at most `rows` rows `ncols` wide, its pivots, blocks and free columns."""
 
     def __init__(self, ncols: int, rows: int, p: int):
         size = min(rows, ncols)
-        self.p, self.rank, self.blocks = p, 0, []
+        self.p, self.rank, self.blocks, self.free = p, 0, [], np.arange(ncols)
         self.E, self.pivots = np.empty((size, ncols)), np.empty(size, dtype=np.intp)
 
 
@@ -179,12 +185,14 @@ def rank_mod_p(mat, p: int = DEFAULT_PRIME, basis: Echelon | None = None) -> int
 
     Blocked incremental echelon form: the basis E grows one block of
     BLOCK_ROWS input rows at a time.  The block is cleared of E's pivot
-    columns (_forward), eliminated internally (_eliminate_block), and its
-    independent rows are appended to E as a new block.  Nothing is
-    back-substituted, so E is block triangular: each block is the identity
-    on its own pivot columns and zero on those of earlier blocks.  E is
-    allocated once, and every other temporary has at most BLOCK_ROWS rows.
-    Given a `basis`, the rows join it and its rank returns.
+    columns (_forward), narrowed to a copy of its free columns, on which
+    it is eliminated internally (_eliminate_block), and its independent
+    rows are written to E as a new block, zero on the earlier pivot
+    columns.  Nothing is back-substituted, so E is block triangular: each
+    block is the identity on its own pivot columns and zero on those of
+    earlier blocks.  E is allocated once, and every other temporary has at
+    most BLOCK_ROWS rows.  Given a `basis`, the rows join it and its rank
+    returns.
     """
     if not 1 < p <= MAX_PRIME:
         raise ValueError(f"modulus {p} outside (1, MAX_PRIME={MAX_PRIME}]; float64 elimination would not be exact")
@@ -195,19 +203,25 @@ def rank_mod_p(mat, p: int = DEFAULT_PRIME, basis: Echelon | None = None) -> int
     basis = Echelon(n, m, p) if basis is None else basis
     if (basis.E.shape[1], basis.p) != (n, p):
         raise ValueError(f"rows of width {n} mod {p} added to a basis of width {basis.E.shape[1]} mod {basis.p}")
-    E, pivots, blocks, r = basis.E, basis.pivots, basis.blocks, basis.rank
+    E, pivots, blocks, free, r = basis.E, basis.pivots, basis.blocks, basis.free, basis.rank
     for lo in range(0, m, BLOCK_ROWS):
         if r == n:
             break
         B = _float_block(A[lo : lo + BLOCK_ROWS], p)
         _forward(B, E, blocks, pivots, p)
-        found = _eliminate_block(B, E, r, p)
+        # take, not B[:, free]: the copy stays C-ordered for the row updates.
+        B = B.take(free, axis=1)
+        found = _eliminate_block(B, p)
         if not found:
             continue
-        blocks.append((r, r + len(found)))
-        pivots[r : r + len(found)] = found
-        r += len(found)
-    basis.rank = r
+        k = len(found)
+        E[r : r + k] = 0
+        E[r : r + k, free] = B[:k]
+        pivots[r : r + k] = free[found]
+        free = np.delete(free, found)
+        blocks.append((r, r + k))
+        r += k
+    basis.rank, basis.free = r, free
     return r
 
 

@@ -211,6 +211,73 @@ class TestEchelonKernel:
         rank_mod_p(A, 5)
         assert A.tolist() == np.arange(12).reshape(3, 4).tolist()  # input untouched
 
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    @pytest.mark.parametrize("dtype", [np.uint64, np.uint32])
+    def test_unsigned_input_matches_object_oracle(self, p, dtype):
+        # Words in the top half of their range: past 2**63 they wrap negative
+        # if narrowed to int64 before they are reduced mod p.
+        if dtype == np.uint64 and p == 3:
+            assert rank_mod_p(np.array([[2**64 - 1, 2**63 + 1]], dtype=np.uint64), 3) == 0
+        top = int(np.iinfo(dtype).max)
+        rng = np.random.default_rng([p, np.dtype(dtype).itemsize])
+        for kind in ("dense", "deficient", "unit-rows"):
+            X = MATRIX_KINDS[kind](rng, 60, 50, p).astype(dtype)
+            high = rng.integers((top - p) // p // 2, (top - p) // p, size=X.shape, dtype=dtype, endpoint=True)
+            A = X + dtype(p) * high
+            assert rank_mod_p(A, p) == rank_mod_p_reference(A.astype(object), p) == rank_mod_p_reference(X, p)
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    @pytest.mark.parametrize("kind", ["dense", "deficient", "unit-rows"])
+    def test_incremental_basis_under_compaction(self, p, kind):
+        # Chunks of 1, 7, 48 and 49 rows on the even columns, then the odd
+        # ones, then all, so each call eliminates on free columns that
+        # interleave with earlier pivots; the last chunk also repeats
+        # combinations of rows from earlier calls.
+        n = 150
+        rng = np.random.default_rng([p, len(kind), n])
+        supports = [np.arange(0, n, 2), np.arange(1, n, 2), np.arange(0, n, 2), np.arange(n)]
+        chunks = []
+        for size, cols in zip((1, 7, 48, 49), supports):
+            chunk = np.zeros((size, n), dtype=np.int64)
+            chunk[:, cols] = MATRIX_KINDS[kind](rng, size, len(cols), p)
+            chunks.append(chunk)
+        earlier = np.vstack(chunks[:3])
+        for i in range(0, 49, 4):
+            a, b = rng.integers(0, len(earlier), size=2)
+            chunks[3][i] = (earlier[a] + rng.integers(1, p) * earlier[b]) % p
+        basis = Echelon(n, sum(map(len, chunks)), p)
+        prefix = np.zeros((0, n), dtype=np.int64)
+        for chunk in chunks:
+            prefix = np.vstack([prefix, chunk])
+            r = rank_mod_p(chunk, p, basis)
+            assert r == basis.rank == rank_mod_p_reference(prefix, p)
+            E, pivots = basis.E[:r].astype(np.int64), basis.pivots[:r]
+            assert len(set(pivots.tolist())) == r
+            assert np.array_equal(basis.free, np.setdiff1d(np.arange(n), pivots))
+            assert [lo for lo, _ in basis.blocks] == [0] + [hi for _, hi in basis.blocks[:-1]]
+            for lo, hi in basis.blocks:
+                assert np.array_equal(E[lo:hi, pivots[lo:hi]] % p, np.eye(hi - lo))
+                assert not (E[lo:hi, pivots[:lo]] % p).any()
+            assert rank_mod_p_reference(np.vstack([E, prefix]), p) == r
+
+    def test_coefficient_column_reduced_before_scaling(self):
+        # One block at MAX_PRIME: rows 0-39 are [I | p-1], found in the first
+        # five slices; row 40 is [0 | w], w[0] = 2, whose inverse (p+1)/2 is
+        # large; rows 41-47 are (p-1) times the sum of rows 0-39 plus a
+        # multiple of row 40, so the rank is 41.  Clearing rows 0-39 from the
+        # last slice leaves its entries on w's column unreduced, near
+        # -40 (p-1)**2, just inside the in-block bound.  Multiplied by the
+        # inverse before they are reduced they pass 2**53 and round, and the
+        # rows keep a false pivot on that column.
+        p, f, t = MAX_PRIME, 5 * SLICE_ROWS, 30
+        top = np.hstack([np.eye(f, dtype=np.int64), np.full((f, t), p - 1, dtype=np.int64)])
+        w = np.zeros(f + t, dtype=np.int64)
+        w[f:] = np.arange(2, t + 2)
+        dependent = [((p - 1) * top.sum(axis=0) + a * w) % p for a in (1, 2, 3, p - 1, p - 2, (p - 1) // 2, 7)]
+        A = np.vstack([top, w, dependent])
+        assert len(A) == BLOCK_ROWS
+        assert rank_mod_p(A, p) == rank_mod_p_reference(A, p) == f + 1
+
     def test_empty_shapes(self):
         assert rank_mod_p(np.zeros((0, 5), dtype=np.int64)) == 0
         assert rank_mod_p(np.zeros((4, 0), dtype=np.int64)) == 0
