@@ -17,7 +17,9 @@ file order, that decodes to a {"key", "record"} entry and passes the
 replay check wins.  The caller passes that check to `get` (the CLI checks
 the record's envelope and, for a probe or induction record, rebuilds it
 from the problem asked); the cache itself knows no command, and without a
-check any decoded entry replays.
+check any decoded entry replays.  Each key is resolved once: its first
+`get` finds the winning line, or none, and every later `get` of that key
+in the same process returns that outcome.
 
 Two kinds of line are skipped with a warning that names which: at load,
 every line not in `put`'s form; at replay, a line in that form whose body
@@ -50,8 +52,6 @@ _TEMPLATE = np.frombuffer(_HEAD + bytes(64) + _MIDDLE, np.uint8)
 _FIXED = np.ones(_TEMPLATE.size, bool)
 _FIXED[_KEY] = False
 _SHORTEST = _TEMPLATE.size + 2
-# Marks an indexed line already tried; no ASCII key equals it.
-_TRIED = b"\xff"
 # Bytes searched for newlines at once.  A file-sized boolean temporary
 # would double the load's peak memory; freeing it can push the allocator
 # over its trim threshold, so that every later load in the same process
@@ -90,16 +90,14 @@ class ResultCache:
     def __init__(self, directory: Path | None = None):
         self.directory = Path(directory) if directory else default_cache_dir()
         self.path = self.directory / "results.jsonl"
-        # Once loaded: the file's bytes, and for each line in form, in file
-        # order, its ASCII key (_TRIED once tried) and its start and end
+        # Once loaded, and never changed after: the file's bytes, and for each
+        # line in form, in file order, its ASCII key and its start and end
         self._data = b""
         self._keys: np.ndarray | None = None
         self._starts: np.ndarray | None = None
         self._ends: np.ndarray | None = None
-        # key -> lines put since the load, not yet tried
-        self._appended: dict[str, list[bytes]] = {}
-        # key -> the record replayed for it
-        self._records: dict[str, dict] = {}
+        # key -> its outcome: the record replayed for it, or None
+        self._records: dict[str, dict | None] = {}
 
     def _warn(self, skipped: int, cause: str) -> None:
         if skipped:
@@ -148,33 +146,33 @@ class ResultCache:
         self._keys, self._starts, self._ends = keys[indexed], starts[indexed], ends[indexed]
         self._warn(skipped, "not in the cache's line form")
 
-    def _untried(self, key: str) -> list[bytes]:
-        """The lines of `key` not tried yet: those of the file in file order,
-        then those put since the load.  Each line is handed out once."""
-        self._load()
-        rows = np.flatnonzero(self._keys == key.encode("ascii"))
-        self._keys[rows] = _TRIED
-        bounds = zip(self._starts[rows].tolist(), self._ends[rows].tolist())
-        return [self._data[start:end] for start, end in bounds] + self._appended.pop(key, [])
-
     def get(self, key: str, replays: Callable[[dict], bool] | None = None) -> dict | None:
         """The record replayed for `key`: the first of its lines that decodes
-        and, if `replays` is given, passes that check."""
+        and, if `replays` is given, passes that check.  Each key is resolved
+        once: a later `get` returns the same record or None and warns of nothing."""
         if key not in self._records:
-            skipped = 0
-            for line in self._untried(key):
+            self._load()
+            rows = np.flatnonzero(self._keys == key.encode("ascii"))
+            record, skipped = None, 0
+            for start, end in zip(self._starts[rows].tolist(), self._ends[rows].tolist()):
                 try:
-                    entry = json.loads(line)
+                    entry = json.loads(self._data[start:end])
                 except (ValueError, RecursionError):  # a body nested too deep does not decode
                     entry = None
                 if _is_entry(entry) and entry["key"] == key and (replays is None or replays(entry["record"])):
-                    self._records[key] = entry["record"]
+                    record = entry["record"]
                     break
                 skipped += 1
+            self._records[key] = record
             self._warn(skipped, "did not decode or failed the replay check")
-        return self._records.get(key)
+        return self._records[key]
 
     def put(self, key: str, record: dict) -> None:
+        """Append `record` under `key`, meant for a key whose lookup missed.
+
+        Unless the key already resolved to a record, the line written, as a
+        later process would decode it, becomes the key's outcome.
+        """
         self.directory.mkdir(parents=True, exist_ok=True)
         line = json.dumps({"key": key, "record": record}, sort_keys=True).encode("utf-8")
         fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
@@ -189,5 +187,5 @@ class ResultCache:
             os.write(fd, (b"\n" if torn else b"") + line + b"\n")
         finally:
             os.close(fd)
-        if self._keys is not None and key not in self._records:
-            self._appended.setdefault(key, []).append(line)
+        if self._records.get(key) is None:
+            self._records[key] = json.loads(line)["record"]

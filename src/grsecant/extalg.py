@@ -63,18 +63,14 @@ def merge_sign(a: Sequence[int], b: Sequence[int]) -> tuple[int, tuple[int, ...]
 
 
 def _normalize_blade(indices: Sequence[int]) -> tuple[int, tuple[int, ...]] | None:
-    """Sort a blade's indices, returning the permutation sign; None if repeated."""
-    idx = list(indices)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-        if j > 0 and idx[j - 1] == idx[j]:
+    """Sort a blade's indices by merging them in one at a time: the permutation sign and the sorted tuple, or None if one repeats."""
+    sign, idx = 1, ()
+    for i in indices:
+        merged = merge_sign(idx, (i,))
+        if merged is None:
             return None
-    return sign, tuple(idx)
+        sign, idx = sign * merged[0], merged[1]
+    return sign, idx
 
 
 @dataclass(eq=False)

@@ -96,9 +96,13 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
 def _float_block(block: np.ndarray, p: int) -> np.ndarray:
     """Rows of an integer matrix reduced mod p, as a float64 copy.
 
-    Float64 input must hold integers of magnitude below 2**53.
+    Float64 input must hold integers of magnitude below 2**53, the range
+    _reduce is exact on; any other float64 entry (a fraction, nan, inf or a
+    larger value) raises ValueError.
     """
     if block.dtype == np.float64:
+        if not ((np.abs(block) < 2.0**53).all() and (np.trunc(block) == block).all()):
+            raise ValueError("float64 entries must be integers of magnitude below 2**53")
         return _reduce(block.copy(), p)
     if block.dtype.kind in "uO":
         # Unsigned words and Python big integers may not fit int64: reduce first, then narrow.
@@ -150,10 +154,9 @@ def _eliminate_block(B: np.ndarray, p: int) -> list[int]:
         new, inverses = [], []
         for i in range(len(S)):
             row = _reduce(S[i], p)
-            nz = row.nonzero()[0]
-            if nz.size == 0:
+            c = int(row.astype(bool).argmax())  # the first nonzero, if any
+            if not row[c]:
                 continue
-            c = int(nz[0])
             inverses.append(pow(int(row[c]), -1, p))
             col = np.remainder(np.remainder(S[:, c], p) * inverses[-1], p)
             col[i] = 0
@@ -192,7 +195,8 @@ def rank_mod_p(mat, p: int = DEFAULT_PRIME, basis: Echelon | None = None) -> int
     block is the identity on its own pivot columns and zero on those of
     earlier blocks.  E is allocated once, and every other temporary has at
     most BLOCK_ROWS rows.  Given a `basis`, the rows join it and its rank
-    returns.
+    returns.  Float64 input must hold integers of magnitude below 2**53;
+    a block with any other entry raises ValueError.
     """
     if not 1 < p <= MAX_PRIME:
         raise ValueError(f"modulus {p} outside (1, MAX_PRIME={MAX_PRIME}]; float64 elimination would not be exact")

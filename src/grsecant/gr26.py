@@ -232,19 +232,19 @@ def _tangent_span_demo(name: str, want: int, variety: str, anchors, samples, sam
     def image(params) -> Multivector:
         return wedge_vectors(np.hstack([c * np.eye(k + 1, dtype=np.int64) for c in params]).tolist(), n + 1)
 
-    checks = []
+    checks, oks = [], []
     for params, pt in anchors:
-        ok = rank_exact([image(params).dense(), pluecker(pt).dense()]) <= 1  # proportional
-        checks.append(f"{variety}({','.join(map(str, params))}) matches anchor point: {ok}")
+        oks.append(rank_exact([image(params).dense(), pluecker(pt).dense()]) <= 1)  # proportional
+        checks.append(f"{variety}({','.join(map(str, params))}) matches anchor point: {oks[-1]}")
     achieved, span, rank = _span_check(points, [image(params) for params in samples], p)
     if span < len(samples):
         raise ValueError(
             f"demo {name} needs another prime: its {len(samples)} fixed {sample_noun} collide mod {p} "
             f"and span only {span} dimensions"
         )
-    in_span = rank == achieved
-    checks.append(f"{len(samples)} {sample_noun} span {span} dimensions, tangent-stack rank with them {rank}: {in_span}")
-    passed = achieved == want and all(c.endswith("True") for c in checks)
+    oks.append(rank == achieved)
+    checks.append(f"{len(samples)} {sample_noun} span {span} dimensions, tangent-stack rank with them {rank}: {oks[-1]}")
+    passed = achieved == want and all(oks)
     expected = len(points) * tangent_space_dim(k, n)
     return DemoReport(name, achieved, expected, math.comb(n + 1, k + 1), checks, passed)
 

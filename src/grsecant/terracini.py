@@ -57,10 +57,6 @@ from .grassmann import (
 
 DEFAULT_TRIALS = 3
 
-# Beyond this many ambient coordinates the greedy certificate search is
-# pointless overhead next to the rank computation itself.
-AUTO_CERTIFICATE_AMBIENT_LIMIT = 200_000
-
 # Most 8-byte entries (1 GiB) a probe may hold at once; larger problems are
 # refused before any table or basis is built.  A probe holds nothing per
 # point, so the bound stops growing once s*T rows could span every column:
@@ -325,19 +321,17 @@ def _coordinate_planes(problem: SecantProblem) -> dict[int, tuple[int, ...]]:
 def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | None = None) -> SpanVerdict:
     """Run the prober; `strategy` is one of random, monomial, auto.
 
-    Some points are coordinate points: under monomial, and under auto for
-    an ambient dimension up to AUTO_CERTIFICATE_AMBIENT_LIMIT, all s words
-    of a monomial certificate (CertificateUnavailable under monomial
-    without one); otherwise the planes `_coordinate_planes` places.  Each
-    trial's rank is the count of the columns they and the extra spans add
-    plus the rank of the tangent spaces at the other points, drawn one at a
-    time in index order and framed without those columns (rank_points); a
-    certificate draws no point and needs one trial.  Nothing is held per
-    point: the indices are drawn lazily, so past full width a larger s is free.
-    The count is
-    s·((k+1)(n-k)+1) without a mask when the certificate's words meet
-    pairwise in at most k-2 indices (`_disjoint_count`), and the mask's
-    otherwise.
+    Some points are coordinate points: under monomial and auto, all s
+    words of a monomial certificate when one exists (CertificateUnavailable
+    under monomial without one); otherwise the planes `_coordinate_planes`
+    places.  Each trial's rank is the count of the columns they and the
+    extra spans add plus the rank of the tangent spaces at the other
+    points, drawn one at a time in index order and framed without those
+    columns (rank_points); a certificate draws no point and needs one
+    trial.  Nothing is held per point: the indices are drawn lazily, so
+    past full width a larger s is free.  The count is s·((k+1)(n-k)+1)
+    without a mask when the certificate's words meet pairwise in at most
+    k-2 indices (`_disjoint_count`), and the mask's otherwise.
 
     A problem with extra spans is a specialization: each constrained point
     must lie in one of the spans, and ambient - achieved counts the
@@ -357,8 +351,7 @@ def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | N
     if not 0 <= expected <= ambient:
         raise ValueError(f"target rank {expected} out of range [0, {ambient}]")
 
-    certify = strategy == "monomial" or (strategy == "auto" and ambient <= AUTO_CERTIFICATE_AMBIENT_LIMIT)
-    words = _certificate(problem) if certify else None
+    words = _certificate(problem) if strategy != "random" else None
     if words is None and strategy == "monomial":
         raise CertificateUnavailable(f"no monomial certificate for (k={problem.k}, n={problem.n}, s={problem.s})")
     placed = _coordinate_planes(problem) if words is None else dict(enumerate(words))

@@ -237,6 +237,22 @@ class TestCache:
         assert result.exit_code == 0
         assert "InconclusiveDeficit" in result.output and "achieved 34 / expected 35" in result.output
 
+    def test_second_prime_equal_to_prime_replays_its_own_put(self, runner, tmp_path):
+        # The one CLI path that looks a key up twice in one process: the cold
+        # run computes the record once and replays it for the second prime.
+        args = ["--prime", "32003", "--second-prime", "32003", "--json", "check", "-k", "2", "-n", "9", "-s", "4"]
+        cache_file = tmp_path / "cache" / "results.jsonl"
+        cold = invoke(runner, tmp_path, *args)
+        assert cold.exit_code == 0
+        first, second = cold.stdout.splitlines()
+        assert first == second
+        lines = cache_file.read_text().splitlines()
+        assert len(lines) == 1
+        warm = invoke(runner, tmp_path, *args)
+        assert warm.exit_code == 0
+        assert warm.stdout == cold.stdout and warm.stderr == ""
+        assert cache_file.read_text().splitlines() == lines
+
     def test_scan_reuses_probe_records(self, runner, tmp_path):
         invoke(runner, tmp_path, "check", "-k", "2", "-n", "9", "-s", "5")
         result = invoke(runner, tmp_path, "scan", "-k", "2", "--n-from", "9", "--n-to", "9")

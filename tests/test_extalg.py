@@ -1,5 +1,5 @@
 import math
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -210,6 +210,18 @@ class TestMultivector:
         assert Multivector.blade(7, (4, 2, 3)) == Multivector.blade(7, (2, 3, 4))
         assert Multivector.blade(7, (1, 5, 3)) == Multivector.blade(7, (1, 3, 5), -1)
         assert Multivector.blade(7, (1, 1, 3)).is_zero()
+
+    def test_blade_sign_is_permutation_parity(self):
+        # Every index tuple of length <= 5 over range(7): a repeat gives zero,
+        # and otherwise the sign is the parity of the inversions to sort it.
+        for length in range(6):
+            for idx in product(range(7), repeat=length):
+                blade = Multivector.blade(7, idx)
+                if len(set(idx)) < length:
+                    assert blade.is_zero() and blade.degree == length, idx
+                    continue
+                inversions = sum(a > b for a, b in combinations(idx, 2))
+                assert blade.terms == {tuple(sorted(idx)): (-1) ** inversions}, idx
 
 
 class TestPairingMatrix:

@@ -226,6 +226,25 @@ class TestEchelonKernel:
             A = X + dtype(p) * high
             assert rank_mod_p(A, p) == rank_mod_p_reference(A.astype(object), p) == rank_mod_p_reference(X, p)
 
+    @pytest.mark.parametrize(
+        "value, p",
+        [(2.0**60, 3), (1e20, 7), (-(2.0**53), 3), (0.5, 3), (float("nan"), 3), (float("inf"), 3)],
+        ids=["2**60", "1e20", "-2**53", "fraction", "nan", "inf"],
+    )
+    def test_float_input_outside_exact_range_refused(self, value, p):
+        # Past 2**53 a float64 no longer holds the integer it stands for
+        # exactly, so its residue mod p would come back silently wrong.
+        A = np.array([[1.0, 2.0], [3.0, value]])
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            rank_mod_p(A, p)
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_float_input_at_exact_edge_matches_object_oracle(self, p):
+        top = 2**53 - 1
+        A = np.array([[top, -top, 1], [top - 1, 7, -(top - 2)]])
+        assert rank_mod_p(A.astype(np.float64), p) == rank_mod_p_reference(A.astype(object), p)
+        assert rank_mod_p(np.array([[float(top)]]), p) == rank_mod_p_reference(np.array([[top]], dtype=object), p)
+
     @pytest.mark.parametrize("p", KERNEL_PRIMES)
     @pytest.mark.parametrize("kind", ["dense", "deficient", "unit-rows"])
     def test_incremental_basis_under_compaction(self, p, kind):

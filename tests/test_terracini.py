@@ -471,6 +471,22 @@ class TestStrategies:
         with pytest.raises(ValueError):
             probe(SecantProblem(2, 6, 3), strategy="exhaustive")
 
+    # Every (k, n) with k < 80 and n < 3000 that SecantProblem accepts above
+    # 200 000 ambient coordinates; each is accepted only at s = 1.
+    @pytest.mark.parametrize("k, n", [(3, 48), (4, 31), (4, 32), (5, 25)])
+    def test_auto_certifies_above_200000_ambient(self, monkeypatch, k, n):
+        assert math.comb(n + 1, k + 1) > 200_000
+        monomial = probe(SecantProblem(k, n, 1), strategy="monomial").to_record()
+        masks = []
+        counted = terracini.counted_columns
+        monkeypatch.setattr(terracini, "counted_columns", lambda *args: masks.append(args) or counted(*args))
+        auto = probe(SecantProblem(k, n, 1), strategy="auto").to_record()
+        assert masks == []  # the certificate's one word is counted without a mask
+        assert auto == monomial
+        assert auto["achieved"] == auto["expected"] == (k + 1) * (n - k) + 1 and auto["trials"] == 1
+        with pytest.raises(ValueError, match="MAX_PROBE_ENTRIES"):
+            SecantProblem(k, n, 2)
+
 
 class TestTheorem34Grid:
     def test_grid_certified(self):
