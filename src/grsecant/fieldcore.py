@@ -142,17 +142,22 @@ def _eliminate_block(B: np.ndarray, p: int) -> list[int]:
     reduced again.  The slice's new rows are then reduced, scaled to 1 on
     their pivots, reduced, and cleared from the rows found before them (a
     second GEMM).  A slice enters reduced and takes fewer than
-    len(B) <= GEMM_DEPTH products before each row is reduced.  Returns the
-    pivot column of each independent row.
+    len(B) <= GEMM_DEPTH products before each row is reduced.  Once the
+    rows found span the block's width, every later row is dependent and
+    none is looked at.  Returns the pivot column of each independent row.
     """
     found: list[int] = []
     for lo in range(0, len(B), SLICE_ROWS):
+        if len(found) == B.shape[1]:
+            break
         S = _reduce(B[lo : lo + SLICE_ROWS], p)
         f = len(found)
         if f:
             S -= S[:, found] @ B[:f]
         new, inverses = [], []
         for i in range(len(S)):
+            if len(found) == B.shape[1]:
+                break
             row = _reduce(S[i], p)
             c = int(row.astype(bool).argmax())  # the first nonzero, if any
             if not row[c]:

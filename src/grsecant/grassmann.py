@@ -4,14 +4,16 @@ A point is stored as a full-rank (k+1) x (n+1) row matrix, not as a Plücker
 vector, so that its tangent space can be generated from it.  The affine
 tangent space at a point is spanned by the wedges obtained by replacing one
 row with one basis vector; its dimension is (k+1)(n-k)+1.  One Laplace pass
-(laplace_minors) gives a point's row-deleted maximal minors and its Plücker
-row mod p.  A sampled point keeps those of its draw: random_point accepts a
-draw iff its Plücker row is nonzero, and frame_rows writes a basis of the
-tangent space (the Plücker row and the generators off one nonzero Plücker
-coordinate) from them into a zeroed float64 frame, keeping only the
-columns its caller ranks, through one scatter plan per first nonzero
-Plücker coordinate and column mask.  Every point it is handed must have
-full rank mod p, as the sampled and demo points do.  Coordinate spans and
+(laplace_minors) over the stack of a point's k+1 row-deleted matrices gives
+their maximal minors, and one more expansion its Plücker row, mod p; the
+expansions take leading batch axes.  A sampled point keeps those of its
+draw: random_point accepts a draw iff its Plücker row is nonzero, and
+frame_rows writes a basis of the tangent space (the Plücker row and the
+generators off one nonzero Plücker coordinate) from them into a zeroed
+float64 frame, keeping only the columns its caller ranks, through one
+scatter plan per first nonzero Plücker coordinate and column mask.  Every
+point it is handed must have full rank mod p, as the sampled and demo
+points do.  Coordinate spans and
 coordinate points are given by the Plücker coordinates they add
 (counted_columns), not by rows.
 """
@@ -135,15 +137,16 @@ def _expand(row: np.ndarray, minors: np.ndarray, t: int, p: int) -> np.ndarray:
     """The maximal minors of [row; M] from those of M, by expansion along row 0.
 
     `row` is reduced mod p and `minors` are the maximal minors of the
-    (t-1)-row matrix M, colex order.  Minor T is the alternating sum over a
-    of row[T[a]] * minors[T minus T[a]]; the t products are summed in int64
-    before one reduction, which is exact while t*(p-1)**2 < 2**63.
+    (t-1)-row matrix M, colex order; both may carry the same leading batch
+    axes, one expansion per batch entry.  Minor T is the alternating sum
+    over a of row[T[a]] * minors[T minus T[a]]; the t products are summed
+    in int64 before one reduction, which is exact while t*(p-1)**2 < 2**63.
     """
     if t * (p - 1) ** 2 >= 2**63:
         raise ValueError(f"Laplace expansion of {t} rows mod {p} would overflow int64")
-    dim = len(row)
-    prods = row[_subset_array(dim, t)] * minors[_drop_table(dim, t)]
-    return (prods[:, 0::2].sum(axis=1) - prods[:, 1::2].sum(axis=1)) % p
+    dim = row.shape[-1]
+    prods = row[..., _subset_array(dim, t)] * minors[..., _drop_table(dim, t)]
+    return (prods[..., 0::2].sum(axis=-1) - prods[..., 1::2].sum(axis=-1)) % p
 
 
 def maximal_minors_mod(mat: np.ndarray, p: int) -> np.ndarray:
@@ -151,27 +154,37 @@ def maximal_minors_mod(mat: np.ndarray, p: int) -> np.ndarray:
 
     Row-by-row Laplace expansion from the bottom row up: t*C(dim, t)
     products for the minors of the last t rows, t >= 2.  The bottom row's
-    minors are its entries (colex order on 1-subsets is column order).
+    minors are its entries (colex order on 1-subsets is column order).  A
+    stack of matrices (leading batch axes before the last two) gives the
+    stack of their minors from one pass.
     """
     mat = np.asarray(mat, dtype=np.int64) % p
-    if not len(mat):
-        return np.ones(1, dtype=np.int64)
-    minors = mat[-1]
-    for t, row in enumerate(mat[-2::-1], start=2):
-        minors = _expand(row, minors, t, p)
+    rows = mat.shape[-2]
+    if not rows:
+        return np.ones(mat.shape[:-2] + (1,), dtype=np.int64)
+    minors = mat[..., -1, :]
+    for t in range(2, rows + 1):
+        minors = _expand(mat[..., -t, :], minors, t, p)
     return minors
+
+
+@lru_cache(maxsize=None)
+def _deleted_rows(d: int) -> np.ndarray:
+    """Row i: the indices of range(d) other than i, in order."""
+    return np.array([[j for j in range(d) if j != i] for i in range(d)], dtype=np.intp)
 
 
 def laplace_minors(rows: np.ndarray, p: int) -> PointMinors:
     """A point's row-deleted maximal minors and its Plücker row, mod p.
 
-    The Plücker row is the expansion of the point along row 0 over the
-    minors of the point without it.  It is zero exactly when the point has
-    rank below k+1 mod p.
+    The row-deleted minors come from one stacked pass over the d matrices
+    of the point without one row.  The Plücker row is the expansion of the
+    point along row 0 over the minors of the point without it.  It is zero
+    exactly when the point has rank below k+1 mod p.
     """
     rows = np.asarray(rows, dtype=np.int64) % p
     d = len(rows)
-    deleted = np.stack([maximal_minors_mod(rows[np.arange(d) != i], p) for i in range(d)])
+    deleted = maximal_minors_mod(rows[_deleted_rows(d)], p)
     return PointMinors(p, deleted, _expand(rows[0], deleted[0], d, p))
 
 

@@ -212,19 +212,26 @@ class SpanVerdict:
 
 def _point_rng(problem: SecantProblem, trial: int, index: int) -> np.random.Generator:
     # The stream depends on the point index but not on s, so growing s keeps
-    # the earlier points fixed and ranks monotone for a fixed seed.
-    seed = problem.seed & (2**64 - 1)
-    return np.random.default_rng([seed, problem.prime, problem.k, problem.n, trial, index])
+    # the earlier points fixed and ranks monotone for a fixed seed.  Seeding
+    # from the key's little-endian 32-bit words, as SeedSequence splits a
+    # list of ints, gives the list's stream; the words are split before the
+    # uint32 cast, which older NumPy wraps silently.
+    key = (problem.seed & (2**64 - 1), problem.prime, problem.k, problem.n, trial, index)
+    words = [v >> b & 0xFFFFFFFF for v in key for b in range(0, max(v.bit_length(), 1), 32)]
+    return np.random.default_rng(np.array(words, dtype=np.uint32))
 
 
 def rank_points(points: Iterable[GrassPoint], p: int, basis: Echelon, keep: np.ndarray) -> int:
     """Add the tangent space at each point, at the columns `keep` marks, to `basis`.
 
     Each point is framed into one reused frame from its minors (a sampled
-    point's are those its draw computed), and the frames' rows join
-    the basis through a carry buffer in blocks of BLOCK_ROWS, as a stack of
-    all the frames would.  No further point is drawn once the basis spans
-    every column.  Returns the basis's rank.
+    point's are those its draw computed), and the frame's rows join the
+    basis through a carry buffer in blocks of BLOCK_ROWS.  No all-zero row
+    is passed on: a constrained point's rows inside the counted columns
+    are zero where they are ranked, and a zero row lies in the span of the
+    rows before it, so the rank is that of the stack of all the frames.
+    No further point is drawn once the basis spans every column.  Returns
+    the basis's rank.
     """
     width = basis.E.shape[1]
     frame = carry = None
@@ -235,6 +242,9 @@ def rank_points(points: Iterable[GrassPoint], p: int, basis: Echelon, keep: np.n
             carry = np.empty((BLOCK_ROWS, width))
         frame.fill(0)
         rows = frame_rows(pt, p, frame, keep)
+        live = rows.any(axis=1)
+        if not live.all():
+            rows = rows[live]
         while len(rows):
             take = min(len(rows), BLOCK_ROWS - filled)
             carry[filled : filled + take] = rows[:take]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grsecant import terracini
+from grsecant import fieldcore, terracini
 from grsecant.fieldcore import (
     BLOCK_ROWS,
     DEFAULT_PRIME,
@@ -522,3 +522,22 @@ class TestPrimes:
         for p in (MAX_PRIME + 2, 2**31 - 1, 1099511627791):
             with pytest.raises(ValueError, match="MAX_PRIME"):
                 validate_prime(p)
+
+
+class TestBlockSpansWidth:
+    """_eliminate_block looks at no row once the rows found span the block's width."""
+
+    @pytest.mark.parametrize("p", [3, DEFAULT_PRIME, MAX_PRIME])
+    @pytest.mark.parametrize("width", [3, SLICE_ROWS, SLICE_ROWS + 5])
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_rows_after_spanning_are_not_read(self, p, width, extra):
+        rng = np.random.default_rng([p, width, extra])
+        spanning = rng.integers(0, p, size=(width + extra, width)).astype(np.float64)
+        while rank_mod_p_reference(spanning, p) < width:
+            spanning = rng.integers(0, p, size=(width + extra, width)).astype(np.float64)
+        # NaN rows would raise if the pivot scan reached them.
+        block = np.vstack([spanning, np.full((2 * SLICE_ROWS + 3, width), np.nan)])
+        cut = spanning.copy()
+        found, found_cut = fieldcore._eliminate_block(block, p), fieldcore._eliminate_block(cut, p)
+        assert found == found_cut and len(found) == width
+        assert np.array_equal(block[:width], cut[:width])

@@ -19,6 +19,7 @@ from grsecant.grassmann import (
     CoordinateSubspace,
     GrassPoint,
     frame_rows,
+    laplace_minors,
     maximal_minors_mod,
     pluecker,
     random_point,
@@ -313,3 +314,31 @@ class TestCoordinateSubspace:
         c = CoordinateSubspace(5, (3, 1, 1))
         assert c.support == (1, 3)
         assert c.dim == 2
+
+
+class TestStackedMinors:
+    """maximal_minors_mod and laplace_minors over leading batch axes."""
+
+    @pytest.mark.parametrize("p", [3, 7, P, MAX_PRIME])
+    @pytest.mark.parametrize("t", range(6))
+    def test_stack_matches_each_matrix(self, p, t):
+        rng = np.random.default_rng([p, t])
+        for d, dim in ((1, t + 1), (3, t + 2), (4, t + 3)):
+            stack = rng.integers(-3 * p, 3 * p, size=(d, t, dim))
+            stacked = maximal_minors_mod(stack, p)
+            assert stacked.shape == (d, math.comb(dim, t))
+            for i in range(d):
+                assert np.array_equal(stacked[i], maximal_minors_mod(stack[i], p))
+
+    @pytest.mark.parametrize("p", [3, P, MAX_PRIME])
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_laplace_minors_match_row_by_row(self, p, k):
+        rng = np.random.default_rng([p, k])
+        d = k + 1
+        for dim in (d, d + 2, d + 5):
+            rows = rng.integers(-2 * p, 2 * p, size=(d, dim))
+            got = laplace_minors(rows, p)
+            deleted = np.stack([maximal_minors_mod(rows[np.arange(d) != i], p) for i in range(d)])
+            assert got.p == p
+            assert np.array_equal(got.deleted, deleted)
+            assert np.array_equal(got.plucker, maximal_minors_mod(rows, p))

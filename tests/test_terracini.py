@@ -805,3 +805,80 @@ class TestProblemValidation:
     def test_wrong_space_constraint(self):
         with pytest.raises(ValueError):
             SecantProblem(2, 6, 1, point_constraints=(CoordinateSubspace(9, (0, 1, 2)),))
+
+
+def _base_case_problem(prop, n, variant):
+    """The SecantProblem and target rank induction._check probes for a base case."""
+    target, counts = induction._plan(prop, n, variant)
+    spans, constraints = induction._configuration(prop, n, counts)
+    return SecantProblem(2, n, len(constraints), point_constraints=constraints, extra_spans=spans), target
+
+
+_S = CoordinateSubspace(9, (0, 1, 2, 3))
+
+
+class TestLiveRows:
+    """rank_points passes no all-zero frame row to the kernel, and the ranks stay those of the full stack.
+
+    A point on a span S has its Plücker row and the generators (i, j), j in
+    S, inside ∧³S; when those columns are counted the rows are zero where
+    they are ranked.
+    """
+
+    @pytest.mark.parametrize(
+        "problem, target, framed_zeros",
+        [
+            (*_base_case_problem("a", 17, None), True),
+            # Prop. B at n = 11 and Prop. C n = 9 floor place every point on a
+            # span, so no frame has a zero row.
+            (*_base_case_problem("b", 11, "floor"), False),
+            (*_base_case_problem("b", 11, "ceil"), False),
+            (*_base_case_problem("b", 17, "floor"), True),
+            (*_base_case_problem("c", 9, "floor"), False),
+            (*_base_case_problem("c", 9, "ceil"), True),
+            # No extra spans: the plane placed on S counts all of ∧³S.
+            (SecantProblem(2, 9, 5, point_constraints=(_S, _S, _S, None, None)), None, True),
+        ],
+        ids=["a17", "b11-floor", "b11-ceil", "b17-floor", "c9-floor", "c9-ceil", "constrained"],
+    )
+    def test_no_zero_row_reaches_the_kernel(self, monkeypatch, problem, target, framed_zeros):
+        zero_frame_rows, zero_kernel_rows, ranks = 0, [], []
+        frame, kernel, ranked = terracini.frame_rows, terracini.rank_mod_p, terracini.rank_points
+
+        def framed(*args):
+            nonlocal zero_frame_rows
+            rows = frame(*args)
+            zero_frame_rows += int((~rows.any(axis=1)).sum())
+            return rows
+
+        def kernel_input(mat, *args):
+            zero_kernel_rows.append(int((~np.asarray(mat).any(axis=1)).sum()))
+            return kernel(mat, *args)
+
+        def trial_rank(*args):
+            ranks.append(ranked(*args))
+            return ranks[-1]
+
+        monkeypatch.setattr(terracini, "frame_rows", framed)
+        monkeypatch.setattr(terracini, "rank_mod_p", kernel_input)
+        monkeypatch.setattr(terracini, "rank_points", trial_rank)
+        v = probe(problem, target_rank=target)
+        assert (zero_frame_rows > 0) == framed_zeros
+        assert zero_kernel_rows and not any(zero_kernel_rows)
+        assert len(ranks) == v.trials_used
+        spans = [span.support for span in problem.extra_spans]
+        count = int(counted_columns(problem.n + 1, 3, spans, placed_planes(problem).values()).sum())
+        for trial, rank in enumerate(ranks):
+            assert count + rank == stacked_trial_rank(problem, trial)
+
+
+class TestPointStreams:
+    """_point_rng seeds from the key's 32-bit words: the stream of the key as a list of ints."""
+
+    @pytest.mark.parametrize("seed", [0, 4, 2**32 - 1, 2**32, 2**64 - 1, -1])
+    @pytest.mark.parametrize("trial, index", [(0, 0), (2, 5), (2**32, 1), (1, 2**32 + 7), (2**40, 2**64 + 3)])
+    def test_same_draws_as_the_list_key(self, seed, trial, index):
+        problem = SecantProblem(2, 9, 3, prime=SECOND_PRIME, seed=seed)
+        key = [seed & (2**64 - 1), SECOND_PRIME, 2, 9, trial, index]
+        got = terracini._point_rng(problem, trial, index).integers(0, 2**63, size=6)
+        assert np.array_equal(got, np.random.default_rng(key).integers(0, 2**63, size=6))
