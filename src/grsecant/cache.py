@@ -9,23 +9,23 @@ keys.  Appends from several processes take turns under an exclusive lock.
 Loading reads the file once and indexes it in one vectorised pass over its
 bytes: the fixed head, the 64 lowercase hex digits of the key and the
 closing `}}` of every line are checked at once, and the keys are kept as
-one array.  A line that fails this test (blank, cut short, padded with
-whitespace or CRLF, or written by hand) is stripped and checked again on
-its own, so exactly the lines in `put`'s form are indexed.  A record is
-decoded only when it is replayed.  On duplicate keys the first line, in
-file order, that decodes to a {"key", "record"} entry and passes the
-replay check wins.  The caller passes that check to `get` (the CLI checks
-the record's envelope and, for a probe or induction record, rebuilds it
-from the problem asked); the cache itself knows no command, and without a
-check any decoded entry replays.  Each key is resolved once: its first
-`get` finds the winning line, or none, and every later `get` of that key
-in the same process returns that outcome.
+one array.  Exactly the lines that pass this test are indexed; a line cut
+short, padded with whitespace or CRLF, or written by hand is not, and
+empty lines are ignored.  A record is decoded only when it is replayed.
+On duplicate keys the first line, in file order, that decodes to a
+{"key", "record"} entry and passes the replay check wins.  The caller
+passes that check to `get` (the CLI checks the record's envelope and, for
+a probe or induction record, rebuilds it from the problem asked); the
+cache itself knows no command, and without a check any decoded entry
+replays.  Each key is resolved once: its first `get` finds the winning
+line, or none, and every later `get` of that key in the same process
+returns that outcome.
 
 Two kinds of line are skipped with a warning that names which: at load,
-every line not in `put`'s form; at replay, a line in that form whose body
-does not decode or fails the check, after which the next line with the
-same key is tried.  The next append after a cut-short line starts on a
-fresh line.
+every non-empty line not in `put`'s form; at replay, a line in that form
+whose body does not decode or fails the check, after which the next line
+with the same key is tried.  The next append after a cut-short line starts
+on a fresh line.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 # rest of the record, b"}}".  Only the record's replay decodes and checks it.
 _HEAD, _MIDDLE = b'{"key": "', b'", "record": {'
 _KEY = slice(len(_HEAD), len(_HEAD) + 64)
-_HEX = b"0123456789abcdef"
 # The head, the key and the middle as one template whose key bytes are free;
 # a line in form is at least the template and b"}}" long.
 _TEMPLATE = np.frombuffer(_HEAD + bytes(64) + _MIDDLE, np.uint8)
@@ -76,16 +75,6 @@ def _is_entry(entry) -> bool:
     return isinstance(entry, dict) and isinstance(entry.get("key"), str) and isinstance(entry.get("record"), dict)
 
 
-def _in_form(line: bytes) -> bool:
-    """Whether one stripped line is in `put`'s form, checked on its bytes."""
-    return (
-        line.startswith(_HEAD)
-        and line.startswith(_MIDDLE, _KEY.stop)
-        and line.endswith(b"}}")
-        and not line[_KEY].translate(None, _HEX)
-    )
-
-
 class ResultCache:
     def __init__(self, directory: Path | None = None):
         self.directory = Path(directory) if directory else default_cache_dir()
@@ -106,8 +95,8 @@ class ResultCache:
     def _load(self) -> None:
         if self._keys is not None:
             return
-        data = self._data = self.path.read_bytes() if self.path.exists() else b""
-        a = np.frombuffer(data, np.uint8)
+        self._data = self.path.read_bytes() if self.path.exists() else b""
+        a = np.frombuffer(self._data, np.uint8)
         chunks = range(0, max(a.size, 1), _NEWLINE_CHUNK)
         newlines = np.concatenate([np.flatnonzero(a[lo : lo + _NEWLINE_CHUNK] == ord("\n")) + lo for lo in chunks])
         starts = np.concatenate(([0], newlines + 1))
@@ -129,22 +118,8 @@ class ResultCache:
                 & (a[close - 1] == ord("}"))
             )
             keys[rows] = key.view("S64")[:, 0]
-        # The lines that test rejects are stripped and tested one at a time.
-        skipped = 0
-        for i in np.flatnonzero(~indexed).tolist():
-            raw = data[starts[i] : ends[i]]
-            line = raw.strip()
-            if not line:
-                continue
-            if _in_form(line):
-                starts[i] += len(raw) - len(raw.lstrip())
-                ends[i] = starts[i] + len(line)
-                keys[i] = line[_KEY]
-                indexed[i] = True
-            else:
-                skipped += 1
         self._keys, self._starts, self._ends = keys[indexed], starts[indexed], ends[indexed]
-        self._warn(skipped, "not in the cache's line form")
+        self._warn(int((~indexed & (ends > starts)).sum()), "not in the cache's line form")
 
     def get(self, key: str, replays: Callable[[dict], bool] | None = None) -> dict | None:
         """The record replayed for `key`: the first of its lines that decodes

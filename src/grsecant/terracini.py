@@ -16,10 +16,11 @@ is their number plus the rank of the other tangent rows with those columns
 deleted (a Schur complement, exact over every field).  So every probe
 counts one column mask (grassmann.counted_columns) and ranks the sampled
 rest, written only at the columns left.  Its coordinate points are the
-words of a monomial certificate (codes.monomial_certificate), which meet
-in at most k-2 indices, so their tangent columns are disjoint and the
-count alone, s·((k+1)(n-k)+1), needs no mask (`_disjoint_count`); words
-that overlap go through the mask and fall short.
+words of a monomial certificate (codes.monomial_certificate), a
+codes.CodeSet of weight k+1 and distance 6 whose words meet in at most
+k-2 indices, so their tangent columns are disjoint and the count alone,
+s·((k+1)(n-k)+1), needs no mask; the words of any other code go through
+the mask, and overlapping ones fall short.
 Otherwise they are the planes `_coordinate_planes` places: on the
 coordinates private to each point's constraint support (or, for free
 points, in no support or span), which a linear map fixing every support
@@ -39,7 +40,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
@@ -230,13 +231,15 @@ def rank_points(points: Iterable[GrassPoint], p: int, basis: Echelon, keep: np.n
     is passed on: a constrained point's rows inside the counted columns
     are zero where they are ranked, and a zero row lies in the span of the
     rows before it, so the rank is that of the stack of all the frames.
-    No further point is drawn once the basis spans every column.  Returns
-    the basis's rank.
+    One condition, basis.rank < width, guards every draw and every carry
+    flush: no point is drawn and no row passed on once the basis spans
+    every column, even a basis of width 0.  Returns the basis's rank.
     """
     width = basis.E.shape[1]
     frame = carry = None
     filled = 0
-    for pt in points:
+    points = iter(points)
+    while basis.rank < width and (pt := next(points, None)) is not None:
         if frame is None:
             frame = np.empty((tangent_space_dim(pt.k, pt.n), width))
             carry = np.empty((BLOCK_ROWS, width))
@@ -245,42 +248,25 @@ def rank_points(points: Iterable[GrassPoint], p: int, basis: Echelon, keep: np.n
         live = rows.any(axis=1)
         if not live.all():
             rows = rows[live]
-        while len(rows):
+        while len(rows) and basis.rank < width:
             take = min(len(rows), BLOCK_ROWS - filled)
             carry[filled : filled + take] = rows[:take]
             rows, filled = rows[take:], filled + take
             if filled == BLOCK_ROWS:
                 filled = 0
-                if rank_mod_p(carry, p, basis) == width:
-                    return width
-    return rank_mod_p(carry[:filled], p, basis) if filled else basis.rank
+                rank_mod_p(carry, p, basis)
+    if filled and basis.rank < width:
+        rank_mod_p(carry[:filled], p, basis)
+    return basis.rank
 
 
-def _certificate(problem: SecantProblem) -> tuple[tuple[int, ...], ...] | None:
-    """The supports of s coordinate points from a monomial certificate, or None."""
+def _certificate(problem: SecantProblem) -> codes.CodeSet | None:
+    """A monomial certificate of at least s words for the problem, or None."""
     if problem.k < 2 or problem.extra_spans or any(c is not None for c in problem.point_constraints or ()):
         return None
     if problem.s * tangent_space_dim(problem.k, problem.n) > problem.ambient:
         return None
-    code = codes.monomial_certificate(problem.k, problem.n, problem.s)
-    return None if code is None else code.words[: problem.s]
-
-
-def _disjoint_count(k: int, n: int, words) -> int | None:
-    """The columns the coordinate points on `words` add, when no two share one.
-
-    The tangent columns of e_W are the e_T with |T ∩ W| >= k, so a column
-    of two points W, W' has |W ∩ W'| >= 2k - (k+1) = k-1.  Words of k+1
-    indices meeting pairwise in at most k-2 therefore add disjoint sets of
-    (k+1)(n-k)+1 columns each, len(words) times that in all, and need no
-    mask.  Returns None for any other words.
-    """
-    masks = [sum(1 << i for i in set(word)) for word in words]
-    if any(m.bit_count() != k + 1 for m in masks):
-        return None
-    if any((a & b).bit_count() > k - 2 for a, b in combinations(masks, 2)):
-        return None
-    return len(words) * tangent_space_dim(k, n)
+    return codes.monomial_certificate(problem.k, problem.n, problem.s)
 
 
 def _coordinate_planes(problem: SecantProblem) -> dict[int, tuple[int, ...]]:
@@ -340,8 +326,9 @@ def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | N
     columns (rank_points); a certificate draws no point and needs one
     trial.  Nothing is held per point: the indices are drawn lazily, so
     past full width a larger s is free.  The count is s·((k+1)(n-k)+1)
-    without a mask when the certificate's words meet pairwise in at most
-    k-2 indices (`_disjoint_count`), and the mask's otherwise.
+    without a mask when the certificate is a CodeSet of weight k+1 and
+    distance at least 6, whose words codes.CodeSet has checked to meet
+    pairwise in at most k-2 indices, and the mask's otherwise.
 
     A problem with extra spans is a specialization: each constrained point
     must lie in one of the spans, and ambient - achieved counts the
@@ -361,14 +348,14 @@ def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | N
     if not 0 <= expected <= ambient:
         raise ValueError(f"target rank {expected} out of range [0, {ambient}]")
 
-    words = _certificate(problem) if strategy != "random" else None
-    if words is None and strategy == "monomial":
+    code = _certificate(problem) if strategy != "random" else None
+    if code is None and strategy == "monomial":
         raise CertificateUnavailable(f"no monomial certificate for (k={problem.k}, n={problem.n}, s={problem.s})")
-    placed = _coordinate_planes(problem) if words is None else dict(enumerate(words))
+    placed = _coordinate_planes(problem) if code is None else dict(enumerate(code.words[: problem.s]))
     spans = [span.support for span in problem.extra_spans]
-    count = None if words is None else _disjoint_count(problem.k, problem.n, words)
-    keep = None
-    if count is None:
+    if code is not None and code.weight == problem.k + 1 and code.distance >= 6:
+        count, keep = problem.s * tangent_space_dim(problem.k, problem.n), None
+    else:
         counted = counted_columns(problem.n + 1, problem.k + 1, spans, placed.values())
         count, keep = int(counted.sum()), ~counted
     rows = (problem.s - len(placed)) * tangent_space_dim(problem.k, problem.n)

@@ -408,13 +408,12 @@ def induction_formulas_reference(n: int) -> dict[str, int]:
 
 
 def cache_index_reference(data: bytes) -> tuple[dict[str, list[bytes]], int]:
-    """Each stripped line of a cache file in `put`'s form, under its key in
-    file order, and the count of the other non-blank lines."""
+    """Each line of a cache file in `put`'s form, as written, under its key
+    in file order, and the count of the other non-empty lines."""
     head, middle, key_end = b'{"key": "', b'", "record": {', 73
     lines: dict[str, list[bytes]] = {}
     skipped = 0
     for line in data.split(b"\n"):
-        line = line.strip()
         if not line:
             continue
         key = line[len(head) : key_end]

@@ -52,6 +52,15 @@ class TestCheck:
         assert result.exit_code == 0
         assert "CertifiedFills" in result.output
 
+    def test_monomial_refusal(self, runner, tmp_path):
+        # 3 * 13 = 39 tangent columns exceed the 35 of Gr(2,6): no certificate.
+        for _ in range(2):
+            result = invoke(runner, tmp_path, "check", "-k", "2", "-n", "6", "-s", "3", "--strategy", "monomial")
+            assert result.exit_code == 1
+            assert result.stdout == ""
+            assert result.stderr == "error: no monomial certificate for (k=2, n=6, s=3)\n"
+            assert not (tmp_path / "cache").exists()
+
     def test_k1_baseline(self, runner, tmp_path):
         result = invoke(runner, tmp_path, "check", "-k", "1", "-n", "5", "-s", "3")
         assert result.exit_code == 0
@@ -353,20 +362,36 @@ class TestCacheIndex:
             entry["record"]["seed"] = 10**9 + i
             padding.append(json.dumps(entry, sort_keys=True))
         cache_file.write_text("".join(line + "\n" for line in padding + real))
-        decoded, exact, reads = [], [], _count_reads(monkeypatch)
-        loads, in_form = cache_module.json.loads, cache_module._in_form
+        decoded, reads = [], _count_reads(monkeypatch)
+        loads = cache_module.json.loads
         monkeypatch.setattr(cache_module.json, "loads", lambda s, *a, **kw: decoded.append(s) or loads(s, *a, **kw))
-        monkeypatch.setattr(cache_module, "_in_form", lambda line: exact.append(line) or in_form(line))
         warm = invoke(runner, tmp_path, *args)
         monkeypatch.undo()
         assert warm.exit_code == 0 and warm.stdout == cold.stdout
         replayed = warm.stdout.splitlines()
         assert len(replayed) == 2
         assert len(decoded) == len(replayed)
-        # The whole clean file is indexed by the vectorised pass, from one read.
-        assert exact == []
+        # The whole clean file is indexed from one read.
         assert reads == [cache_file]
         assert len(cache_file.read_text().splitlines()) == 2000
+
+    @pytest.mark.parametrize("head, tail", [(b"", b"\r"), (b" ", b""), (b"", b"  ")], ids=["crlf", "lead", "trail"])
+    def test_padded_line_is_recomputed_not_replayed(self, runner, tmp_path, head, tail):
+        # Only `put`'s bytes are in the line form: a key whose only line is
+        # padded is recomputed and appended, and later runs replay that line.
+        args, first, cache_file, line = _cold_check(runner, tmp_path, "-k", "2", "-n", "6", "-s", "3")
+        padded = head + line.encode() + tail + b"\n"
+        cache_file.write_bytes(padded)
+        warning = f"warning: skipped 1 undecodable line(s) in {cache_file}: not in the cache's line form\n"
+        fresh = invoke(runner, tmp_path, *args)
+        assert fresh.exit_code == 0 and fresh.stderr == warning
+        assert json.loads(fresh.stdout)["result"] == json.loads(first.stdout)["result"]
+        data = cache_file.read_bytes()
+        appended = data.removeprefix(padded).decode()
+        assert appended.count("\n") == 1 and json.loads(appended)["key"] == json.loads(line)["key"]
+        warm = invoke(runner, tmp_path, *args)
+        assert (warm.exit_code, warm.stdout, warm.stderr) == (0, fresh.stdout, warning)
+        assert cache_file.read_bytes() == data
 
     def test_cold_scan_reads_the_file_once(self, runner, tmp_path, monkeypatch):
         cache_file = tmp_path / "cache" / "results.jsonl"

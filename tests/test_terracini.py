@@ -245,7 +245,21 @@ def _count_draws(monkeypatch) -> collections.Counter:
 
 class TestStreaming:
     """Gr(2,20) at s2(20) = 27: 7 coordinate planes are counted, 385 of the
-    1330 columns, and the sampled points' frames are ranked at the other 945."""
+    1330 columns, and the sampled points' frames are ranked at the other 945.
+    In Gr(2,5) the 2 planes count all 20 columns, and nothing is ranked."""
+
+    @pytest.mark.parametrize("s", [3, 4, 5, 6])
+    def test_draws_nothing_when_the_count_fills(self, monkeypatch, s):
+        # W_0 = {0,1,2} and W_1 = {3,4,5} meet in no index, so they add
+        # 10 + 10 = 20 disjoint columns: the basis has width 0, and none of
+        # the s - 2 sampled points is drawn.
+        calls = _count_draws(monkeypatch)
+        v = probe(SecantProblem(2, 5, s), strategy="random")
+        assert calls["random_point"] == 0
+        assert v.to_record() == {
+            "k": 2, "n": 5, "s": s, "prime": P, "seed": 0, "trials": 1,
+            "achieved": 20, "expected": 20, "ambient": 20, "verdict": "CertifiedFills",
+        }  # fmt: skip
 
     def test_stops_drawing_once_every_column_is_spanned(self, monkeypatch):
         # 17 frames of 55 rows cannot span 945 columns; 18 do, so the last 2
@@ -542,7 +556,6 @@ class TestCountedRanks:
             points = [coordinate_point(k, n, w) for w in cert.words[:s]]
             assert rank_mod_p(tangent_stack(points, P), P) == s * tangent_space_dim(k, n), (k, n, s)
             assert counted_columns(n + 1, k + 1, planes=cert.words[:s]).sum() == s * tangent_space_dim(k, n)
-            assert terracini._disjoint_count(k, n, cert.words[:s]) == s * tangent_space_dim(k, n)
             counted += 1
         assert counted > 50
 
@@ -552,7 +565,6 @@ class TestCountedRanks:
         words = ((0, 1, 2), (2, 3, 4))
         code = CodeSet(10, 3, words, distance=4)
         monkeypatch.setattr(terracini.codes, "monomial_certificate", lambda k, n, s: code)
-        assert terracini._disjoint_count(2, 9, words) is None
         v = probe(SecantProblem(2, 9, 2, seed=0), strategy="monomial")
         assert v.verdict is Verdict.INCONCLUSIVE_DEFICIT
         assert (v.achieved_rank, v.expected_rank) == (40, 44)
