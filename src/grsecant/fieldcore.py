@@ -13,11 +13,16 @@ new rows, are reduced before they are multiplied by an inverse and reduced
 again after.  So every value stays below GEMM_DEPTH * (p-1)**2 + p < 2**53
 and is exact through the products, the subtractions and the reduction.
 MAX_PRIME is the largest prime meeting that bound; larger moduli are
-refused.  Exact work over the integers (ranks, determinants, cube roots)
+refused.  The forward substitution narrows a block as it clears it, and
+drops only columns that the full-width update leaves ≡ 0 mod p: the values
+it keeps are those the full-width products give, so the same bound covers
+them.  Exact work over the integers (ranks, determinants, cube roots)
 uses Python integers.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -93,40 +98,63 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
+def _as_int(x) -> int:
+    """An entry as a Python integer: a bool or a Python or NumPy integer; anything else raises TypeError."""
+    return int(x) if isinstance(x, np.bool_) else operator.index(x)
+
+
 def _float_block(block: np.ndarray, p: int) -> np.ndarray:
-    """Rows of an integer matrix reduced mod p, as a float64 copy.
+    """Rows of an integer matrix reduced mod p, as a C-ordered float64 copy.
 
-    Float64 input must hold integers of magnitude below 2**53, the range
-    _reduce is exact on; any other float64 entry (a fraction, nan, inf or a
-    larger value) raises ValueError.
+    Floating input of any width must hold integers of magnitude below
+    2**53, the range _reduce is exact on, and object input integers; any
+    other entry (a fraction, nan, inf or a larger value) raises ValueError,
+    as does any dtype but bool, integer, floating and object (complex,
+    string, datetime).
     """
-    if block.dtype == np.float64:
-        if not ((np.abs(block) < 2.0**53).all() and (np.trunc(block) == block).all()):
-            raise ValueError("float64 entries must be integers of magnitude below 2**53")
-        return _reduce(block.copy(), p)
-    if block.dtype.kind in "uO":
-        # Unsigned words and Python big integers may not fit int64: reduce first, then narrow.
-        block = block.astype(np.uint64 if block.dtype.kind == "u" else object, copy=False) % p
-    return np.remainder(block.astype(np.int64, copy=False), p).astype(np.float64)
+    kind = block.dtype.kind
+    if kind == "f":
+        # Checked at float64 or, if wider, the input's precision: both hold every integer below 2**53.
+        x = block.astype(np.promote_types(block.dtype, np.float64), order="C")
+        if not ((np.abs(x) < 2**53).all() and (np.trunc(x) == x).all()):
+            raise ValueError("floating entries must be integers of magnitude below 2**53")
+        return _reduce(x.astype(np.float64, copy=False), p)
+    # Unsigned words and Python big integers may not fit int64: reduce first, then narrow.
+    if kind == "O":
+        try:
+            block = np.array([_as_int(x) % p for x in block.flat], dtype=np.int64).reshape(block.shape)
+        except TypeError:
+            raise ValueError("object entries must be integers") from None
+    elif kind == "u":
+        block = block.astype(np.uint64, copy=False) % p
+    elif kind not in "bi":
+        raise ValueError(f"entries of dtype {block.dtype} are not integers")
+    return np.remainder(block.astype(np.int64, copy=False), p).astype(np.float64, order="C")
 
 
-def _forward(B: np.ndarray, E: np.ndarray, blocks: list[tuple[int, int]], pivots: np.ndarray, p: int) -> None:
-    """Clear the pivot columns of E from B over GF(p), one block of E at a time.
+def _forward(B: np.ndarray, blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]], p: int) -> np.ndarray:
+    """B, on the columns free before the basis's first block, cleared of its pivots over GF(p).
 
-    Block E[lo:hi] is the identity on its own pivot columns and zero on those
-    of earlier blocks, so B -= B[:, pivots[lo:hi]] @ E[lo:hi] clears its
-    columns and leaves the earlier ones clear; taken in order, the blocks
-    clear them all.  Only the coefficient columns are reduced before each
-    product.  B takes one product of reduced entries per pivot and is
+    Block j (Echelon) is the identity on its own pivots and zero on those of
+    earlier blocks, and is stored on the columns it leaves free.  Each step
+    takes the coefficients B[:, own], narrows B to `keep` and subtracts
+    their product with the block.  On the full width that update would
+    leave B ≡ 0 mod p on `own` and would not change the earlier pivots, so
+    the columns dropped are exactly those it clears, and B ends on the
+    current free columns.  Only the coefficient columns are reduced before
+    each product.  B takes one product of reduced entries per pivot and is
     reduced whole before that count would pass GEMM_DEPTH.
     """
     depth = 0
-    for lo, hi in blocks:
-        if depth + hi - lo > GEMM_DEPTH:
+    for own, keep, E in blocks:
+        if depth + len(own) > GEMM_DEPTH:
             _reduce(B, p)
             depth = 0
-        depth += hi - lo
-        B -= _reduce(B[:, pivots[lo:hi]], p) @ E[lo:hi]
+        depth += len(own)
+        C = _reduce(B[:, own], p)
+        B = B.take(keep, axis=1)
+        B -= C @ E
+    return B
 
 
 def _eliminate_block(B: np.ndarray, p: int) -> list[int]:
@@ -180,28 +208,39 @@ def _eliminate_block(B: np.ndarray, p: int) -> list[int]:
 
 
 class Echelon:
-    """rank_mod_p's state: the basis E[:rank] of at most `rows` rows `ncols` wide, its pivots, blocks and free columns."""
+    """rank_mod_p's state: the rank, width and free columns of a basis of at most `rows` rows, and its blocks.
+
+    A block is (own, keep, E): its pivots and the columns it leaves free,
+    both as indices into the columns free before it, and its rows on
+    `keep`.  Its rows are the identity on `own` and zero on every earlier
+    pivot, so nothing else is stored.  A block of k rows found at rank r is
+    k x (width - r - k), so a basis of rank R takes at most
+    R*width - R*(R+1)/2 entries: `buffer` holds that many for
+    R = min(rows, width), allocated once, and each E is a view into it.
+    """
 
     def __init__(self, ncols: int, rows: int, p: int):
         size = min(rows, ncols)
-        self.p, self.rank, self.blocks, self.free = p, 0, [], np.arange(ncols)
-        self.E, self.pivots = np.empty((size, ncols)), np.empty(size, dtype=np.intp)
+        self.p, self.rank, self.width, self.blocks, self.free = p, 0, ncols, [], np.arange(ncols)
+        self.buffer, self.stored = np.empty(size * ncols - size * (size + 1) // 2), 0
 
 
 def rank_mod_p(mat, p: int = DEFAULT_PRIME, basis: Echelon | None = None) -> int:
     """Rank of an integer matrix over GF(p), for 1 < p <= MAX_PRIME.
 
-    Blocked incremental echelon form: the basis E grows one block of
-    BLOCK_ROWS input rows at a time.  The block is cleared of E's pivot
-    columns (_forward), narrowed to a copy of its free columns, on which
-    it is eliminated internally (_eliminate_block), and its independent
-    rows are written to E as a new block, zero on the earlier pivot
-    columns.  Nothing is back-substituted, so E is block triangular: each
-    block is the identity on its own pivot columns and zero on those of
-    earlier blocks.  E is allocated once, and every other temporary has at
-    most BLOCK_ROWS rows.  Given a `basis`, the rows join it and its rank
-    returns.  Float64 input must hold integers of magnitude below 2**53;
-    a block with any other entry raises ValueError.
+    Blocked incremental echelon form: the basis grows one block of
+    BLOCK_ROWS input rows at a time.  The block is cleared of the basis's
+    pivot columns, which narrows it to the free columns (_forward); it is
+    eliminated there (_eliminate_block), and its independent rows join the
+    basis as a new block, stored on the columns they leave free.  Nothing
+    is back-substituted, so the basis is block triangular: each block is
+    the identity on its own pivot columns and zero on those of earlier
+    blocks, and neither part is stored (Echelon).  The basis's buffer is
+    allocated once, and every other temporary has at most BLOCK_ROWS rows.
+    Given a `basis`, the rows join it and its rank returns.  Floating input
+    must hold integers of magnitude below 2**53, and object input integers;
+    a block with any other entry, or of another dtype, raises ValueError,
+    and the blocks before it stay in the basis.
     """
     if not 1 < p <= MAX_PRIME:
         raise ValueError(f"modulus {p} outside (1, MAX_PRIME={MAX_PRIME}]; float64 elimination would not be exact")
@@ -210,32 +249,27 @@ def rank_mod_p(mat, p: int = DEFAULT_PRIME, basis: Echelon | None = None) -> int
         raise ValueError("expected a 2-d matrix")
     m, n = A.shape
     basis = Echelon(n, m, p) if basis is None else basis
-    if (basis.E.shape[1], basis.p) != (n, p):
-        raise ValueError(f"rows of width {n} mod {p} added to a basis of width {basis.E.shape[1]} mod {basis.p}")
-    E, pivots, blocks, free, r = basis.E, basis.pivots, basis.blocks, basis.free, basis.rank
+    if (basis.width, basis.p) != (n, p):
+        raise ValueError(f"rows of width {n} mod {p} added to a basis of width {basis.width} mod {basis.p}")
     for lo in range(0, m, BLOCK_ROWS):
-        if r == n:
+        if basis.rank == n:
             break
-        B = _float_block(A[lo : lo + BLOCK_ROWS], p)
-        _forward(B, E, blocks, pivots, p)
-        # take, not B[:, free]: the copy stays C-ordered for the row updates.
-        B = B.take(free, axis=1)
+        B = _forward(_float_block(A[lo : lo + BLOCK_ROWS], p), basis.blocks, p)
         found = _eliminate_block(B, p)
         if not found:
             continue
         k = len(found)
-        E[r : r + k] = 0
-        E[r : r + k, free] = B[:k]
-        pivots[r : r + k] = free[found]
-        free = np.delete(free, found)
-        blocks.append((r, r + k))
-        r += k
-    basis.rank, basis.free = r, free
-    return r
+        keep = np.delete(np.arange(B.shape[1]), found)
+        E = basis.buffer[basis.stored : basis.stored + k * len(keep)].reshape(k, len(keep))
+        E[:] = B[:k, keep]
+        basis.blocks.append((np.array(found), keep, E))
+        basis.rank, basis.free, basis.stored = basis.rank + k, basis.free[keep], basis.stored + E.size
+    return basis.rank
 
 
 def _int_rows(mat) -> list[list[int]]:
-    rows = [[int(x) for x in row] for row in mat]
+    """The rows of a matrix as Python integers; an entry that is not an integer raises TypeError."""
+    rows = [[_as_int(x) for x in row] for row in mat]
     if rows and any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("ragged matrix")
     return rows

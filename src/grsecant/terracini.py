@@ -109,9 +109,10 @@ def _probe_entries(k: int, n: int, s: int) -> int:
     - the one scatter plan, 2 index entries for each of at most d*d*c
       generator entries, and as many again while it is built;
     - in float64, at most c columns wide: the one T-row frame, the carry of
-      BLOCK_ROWS rows, the rank kernel's basis E (at most min(s*T, c)
-      rows) and its temporaries (2 * BLOCK_ROWS rows bound those a block
-      needs at once).
+      BLOCK_ROWS rows, the rank kernel's basis and its temporaries
+      (2 * BLOCK_ROWS rows bound those a block needs at once).  The basis
+      is counted as min(s*T, c) full rows, a loose bound: it stores each
+      block only on the columns it leaves free (fieldcore.Echelon).
     A probe holds nothing per point, so s enters only through min(s*T, c).
     Extra spans and coordinate planes add no rows: their columns are
     counted.  The count stops as soon as the tables pass
@@ -231,11 +232,12 @@ def rank_points(points: Iterable[GrassPoint], p: int, basis: Echelon, keep: np.n
     is passed on: a constrained point's rows inside the counted columns
     are zero where they are ranked, and a zero row lies in the span of the
     rows before it, so the rank is that of the stack of all the frames.
-    One condition, basis.rank < width, guards every draw and every carry
-    flush: no point is drawn and no row passed on once the basis spans
-    every column, even a basis of width 0.  Returns the basis's rank.
+    One condition, basis.rank < basis.width, guards every draw and every
+    carry flush: no point is drawn and no row passed on once the basis
+    spans every column, even a basis of width 0.  The frame and the carry
+    are basis.width wide.  Returns the basis's rank.
     """
-    width = basis.E.shape[1]
+    width = basis.width
     frame = carry = None
     filled = 0
     points = iter(points)

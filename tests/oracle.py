@@ -10,6 +10,9 @@ and `grassmann.frame_rows` replaced; `basis_frame` takes from the full
 frame the basis rows `frame_rows` writes, and `tangent_frame` builds the
 same frame from exact wedges and checks its rank.
 
+`expand_basis` writes a `fieldcore.Echelon`'s blocks, each stored on the
+columns it leaves free, back at full width.
+
 `lexicode_greedy_reference` is the pairwise scan that
 `codes.lexicode_greedy`'s set of shared subsets replaced.
 
@@ -51,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from grsecant.extalg import Multivector, subset_rank, subsets_colex, wedge_vectors
-from grsecant.fieldcore import DEFAULT_PRIME, rank_mod_p
+from grsecant.fieldcore import DEFAULT_PRIME, Echelon, rank_mod_p
 from grsecant.grassmann import (
     MAX_SAMPLE_ATTEMPTS,
     CoordinateSubspace,
@@ -93,6 +96,27 @@ def rank_mod_p_reference(mat, p: int) -> int:
             A[idx, c:] = (A[idx, c:] - below[hit, None] * row) % p
         r += 1
     return r
+
+
+def expand_basis(basis: Echelon) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """The rows of a `rank_mod_p` basis at full width, their pivots, and each block's row range.
+
+    A block is stored only on the columns it leaves free (`keep`); here it
+    gets back the identity on its own pivots and zeros on earlier ones.
+    Checks that `own` and `keep` split the columns free before the block.
+    """
+    cols = np.arange(basis.width)
+    rows, pivots, ranges = [np.zeros((0, basis.width), dtype=np.int64)], [], []
+    for own, keep, E in basis.blocks:
+        assert np.array_equal(np.sort(np.concatenate([own, keep])), np.arange(len(cols)))
+        full = np.zeros((len(own), basis.width), dtype=np.int64)
+        full[:, cols[keep]] = E
+        full[np.arange(len(own)), cols[own]] = 1
+        ranges.append((len(pivots), len(pivots) + len(own)))
+        pivots.extend(cols[own].tolist())
+        rows.append(full)
+        cols = cols[keep]
+    return np.vstack(rows), np.array(pivots, dtype=np.intp), ranges
 
 
 def reference_point(

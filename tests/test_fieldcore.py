@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,13 +18,14 @@ from grsecant.fieldcore import (
     det_exact,
     integer_cube_root_signed,
     is_prime,
+    rank_det_exact,
     rank_exact,
     rank_mod_p,
     validate_prime,
 )
 from grsecant.grassmann import tangent_space_dim
 from grsecant.terracini import SecantProblem, Verdict, probe
-from oracle import rank_mod_p_reference
+from oracle import expand_basis, rank_mod_p_reference
 
 
 def cofactor_det(m):
@@ -88,6 +91,49 @@ class TestRankModP:
         with pytest.raises(ValueError, match="width"):
             rank_mod_p(np.eye(4, 6, dtype=np.int64), SECOND_PRIME, basis)
         assert basis.rank == 4
+
+    @pytest.mark.parametrize(
+        "mat, p",
+        [
+            (np.array([[0.5]], dtype=np.float32), 7),
+            (np.array([[1.5]], dtype=np.longdouble), 3),
+            (np.array([[np.nan]], dtype=np.float32), 7),
+            (np.array([[np.inf, 1]], dtype=np.float16), 7),
+            (np.array([[1j, 0], [0, 1]]), 7),
+            (np.array([["3", "5"]]), 3),
+            (np.array([[b"3"]]), 3),
+            (np.array([["2020-01-01"]], dtype="datetime64[D]"), 7),
+            (np.array([[3]], dtype="timedelta64[s]"), 7),
+            (np.array([[0.5]], dtype=object), 7),
+            (np.array([[1, Fraction(1, 2)]], dtype=object), 7),
+        ],
+        ids=["float32-half", "longdouble-fraction", "float32-nan", "float16-inf", "complex", "str", "bytes",
+             "datetime", "timedelta", "object-float", "object-fraction"],
+    )  # fmt: skip
+    def test_non_integer_input_refused(self, mat, p):
+        # Each was truncated to an integer (or cast from nan) and ranked.
+        with pytest.raises(ValueError):
+            rank_mod_p(mat, p)
+
+    def test_basis_keeps_the_blocks_before_a_refused_one(self):
+        # The second block's fraction is refused after the first block has
+        # joined; the basis holds exactly that block and takes more rows.
+        rng = np.random.default_rng(15)
+        A = rng.integers(0, 50, size=(BLOCK_ROWS + 3, 80)).astype(np.float64)
+        A[BLOCK_ROWS, 0] = 0.5
+        basis = Echelon(80, 2 * len(A), DEFAULT_PRIME)
+        with pytest.raises(ValueError):
+            rank_mod_p(A, DEFAULT_PRIME, basis)
+        assert basis.rank == rank_mod_p_reference(A[:BLOCK_ROWS], DEFAULT_PRIME) == len(expand_basis(basis)[0])
+        more = rng.integers(0, 50, size=(BLOCK_ROWS, 80))
+        assert rank_mod_p(more, DEFAULT_PRIME, basis) == rank_mod_p_reference(np.vstack([A[:BLOCK_ROWS], more]), DEFAULT_PRIME)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.int32, np.uint8, np.uint64, np.float16, np.float32, np.longdouble, object])
+    def test_integer_valued_input_of_every_dtype_ranked(self, dtype):
+        rng = np.random.default_rng(14)
+        A = rng.integers(0, 2, size=(9, 12)) if dtype is bool else rng.integers(0, 100, size=(9, 12))
+        for p in (3, 7, DEFAULT_PRIME):
+            assert rank_mod_p(A.astype(dtype), p) == rank_mod_p_reference(A, p)
 
     def test_mod_p_at_most_exact(self):
         rng = np.random.default_rng(13)
@@ -264,19 +310,24 @@ class TestEchelonKernel:
         for i in range(0, 49, 4):
             a, b = rng.integers(0, len(earlier), size=2)
             chunks[3][i] = (earlier[a] + rng.integers(1, p) * earlier[b]) % p
-        basis = Echelon(n, sum(map(len, chunks)), p)
+        size = sum(map(len, chunks))
+        basis = Echelon(n, size, p)
+        bound = size * n - size * (size + 1) // 2
         prefix = np.zeros((0, n), dtype=np.int64)
         for chunk in chunks:
             prefix = np.vstack([prefix, chunk])
             r = rank_mod_p(chunk, p, basis)
             assert r == basis.rank == rank_mod_p_reference(prefix, p)
-            E, pivots = basis.E[:r].astype(np.int64), basis.pivots[:r]
-            assert len(set(pivots.tolist())) == r
+            E, pivots, ranges = expand_basis(basis)
+            assert len(E) == r and len(set(pivots.tolist())) == r
             assert np.array_equal(basis.free, np.setdiff1d(np.arange(n), pivots))
-            assert [lo for lo, _ in basis.blocks] == [0] + [hi for _, hi in basis.blocks[:-1]]
-            for lo, hi in basis.blocks:
+            assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+            for (lo, hi), (_, _, stored) in zip(ranges, basis.blocks):
+                assert stored.shape == (hi - lo, n - hi)  # as wide as the columns left free after it
+                assert np.shares_memory(stored, basis.buffer)
                 assert np.array_equal(E[lo:hi, pivots[lo:hi]] % p, np.eye(hi - lo))
                 assert not (E[lo:hi, pivots[:lo]] % p).any()
+            assert basis.stored == sum(stored.size for _, _, stored in basis.blocks) <= basis.buffer.size == bound
             assert rank_mod_p_reference(np.vstack([E, prefix]), p) == r
 
     def test_coefficient_column_reduced_before_scaling(self):
@@ -465,6 +516,25 @@ class TestDetExact:
 
 
 class TestRankExact:
+    def test_non_integer_entries_refused(self):
+        # Each was truncated by int(): ranks 0, determinants 0 and 2.
+        for f, mat in [
+            (rank_exact, [[0.5]]),
+            (rank_exact, np.array([[2.5, 1]])),
+            (det_exact, [[0.5, 0], [0, 2]]),
+            (det_exact, [[Fraction(3, 2), 0], [0, 2]]),
+            (rank_det_exact, [["1"]]),
+        ]:
+            with pytest.raises(TypeError):
+                f(mat)
+
+    def test_integer_entries_of_every_kind_kept(self):
+        A = np.array([[1, 0, 1], [0, 1, 1], [1, 1, 0]])
+        for dtype in (bool, np.int8, np.uint64, object):
+            assert rank_exact(A.astype(dtype)) == 3 and det_exact(A.astype(dtype)) == -2
+        assert det_exact([[True, False], [False, True]]) == 1
+        assert rank_exact([[2**70, 1], [2**71, 2]]) == 1
+
     def test_known(self):
         assert rank_exact([[1, 2], [2, 4]]) == 1
         assert rank_exact([[2, 0], [0, 3]]) == 2

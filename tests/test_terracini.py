@@ -302,6 +302,20 @@ class TestStreaming:
             tracemalloc.stop()
         assert peak < 1.5 * 945 * 945 * 8
 
+    def test_basis_stores_no_implied_entry(self):
+        # The basis stores each block only on the columns it leaves free, at
+        # most 945*945 - 945*946/2 entries, about half of the full-width
+        # 945 x 945 float64 basis; so the whole probe peaks below that.
+        problem = SecantProblem(2, 20, 27, seed=0)
+        probe(problem)  # fills the minor tables' caches
+        tracemalloc.start()
+        try:
+            probe(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 945 * 945 * 8
+
 
 class TestSampling:
     @pytest.mark.parametrize("constrained", [False, True])
