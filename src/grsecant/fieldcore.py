@@ -12,12 +12,12 @@ product too: the coefficient column of each rank-1 update, and a slice's
 new rows, are reduced before they are multiplied by an inverse and reduced
 again after.  So every value stays below GEMM_DEPTH * (p-1)**2 + p < 2**53
 and is exact through the products, the subtractions and the reduction.
-MAX_PRIME is the largest prime meeting that bound; larger moduli are
-refused.  The forward substitution narrows a block as it clears it, and
-drops only columns that the full-width update leaves ≡ 0 mod p: the values
-it keeps are those the full-width products give, so the same bound covers
-them.  Exact work over the integers (ranks, determinants, cube roots)
-uses Python integers.
+MAX_PRIME is the largest prime meeting that bound; `Echelon` refuses any
+modulus that is not a prime up to it.  The forward substitution narrows a
+block as it clears it, and drops only columns that the full-width update
+leaves ≡ 0 mod p: the values it keeps are those the full-width products
+give, so the same bound covers them.  Exact work over the integers (ranks,
+determinants, cube roots) uses Python integers.
 """
 
 from __future__ import annotations
@@ -217,16 +217,22 @@ class Echelon:
     k x (width - r - k), so a basis of rank R takes at most
     R*width - R*(R+1)/2 entries: `buffer` holds that many for
     R = min(rows, width), allocated once, and each E is a view into it.
+    A modulus that is not a prime up to MAX_PRIME (2 included), as a Python
+    or NumPy integer, raises ValueError: mod a composite there is no rank,
+    and past MAX_PRIME the float64 elimination is not exact.  `p` is kept
+    as a Python int.
     """
 
     def __init__(self, ncols: int, rows: int, p: int):
+        if not (isinstance(p, (int, np.integer)) and p <= MAX_PRIME and is_prime(int(p))):
+            raise ValueError(f"modulus {p} is not a prime <= MAX_PRIME = {MAX_PRIME}; GF(p) elimination needs one")
         size = min(rows, ncols)
-        self.p, self.rank, self.width, self.blocks, self.free = p, 0, ncols, [], np.arange(ncols)
+        self.p, self.rank, self.width, self.blocks, self.free = int(p), 0, ncols, [], np.arange(ncols)
         self.buffer, self.stored = np.empty(size * ncols - size * (size + 1) // 2), 0
 
 
 def rank_mod_p(mat, p: int = DEFAULT_PRIME, basis: Echelon | None = None) -> int:
-    """Rank of an integer matrix over GF(p), for 1 < p <= MAX_PRIME.
+    """Rank of an integer matrix over GF(p), for a prime p <= MAX_PRIME.
 
     Blocked incremental echelon form: the basis grows one block of
     BLOCK_ROWS input rows at a time.  The block is cleared of the basis's
@@ -237,13 +243,13 @@ def rank_mod_p(mat, p: int = DEFAULT_PRIME, basis: Echelon | None = None) -> int
     the identity on its own pivot columns and zero on those of earlier
     blocks, and neither part is stored (Echelon).  The basis's buffer is
     allocated once, and every other temporary has at most BLOCK_ROWS rows.
-    Given a `basis`, the rows join it and its rank returns.  Floating input
-    must hold integers of magnitude below 2**53, and object input integers;
-    a block with any other entry, or of another dtype, raises ValueError,
-    and the blocks before it stay in the basis.
+    Given a `basis`, the rows join it and its rank returns; p must be its
+    modulus.  Otherwise a new basis is built, which refuses any modulus
+    but a prime up to MAX_PRIME (Echelon).  Floating input must hold
+    integers of magnitude below 2**53, and object input integers; a block
+    with any other entry, or of another dtype, raises ValueError, and the
+    blocks before it stay in the basis.
     """
-    if not 1 < p <= MAX_PRIME:
-        raise ValueError(f"modulus {p} outside (1, MAX_PRIME={MAX_PRIME}]; float64 elimination would not be exact")
     A = np.asarray(mat)
     if A.ndim != 2:
         raise ValueError("expected a 2-d matrix")
@@ -251,6 +257,7 @@ def rank_mod_p(mat, p: int = DEFAULT_PRIME, basis: Echelon | None = None) -> int
     basis = Echelon(n, m, p) if basis is None else basis
     if (basis.width, basis.p) != (n, p):
         raise ValueError(f"rows of width {n} mod {p} added to a basis of width {basis.width} mod {basis.p}")
+    p = basis.p
     for lo in range(0, m, BLOCK_ROWS):
         if basis.rank == n:
             break

@@ -1,33 +1,18 @@
 """Secant-dimension probes for Gr(k,n) by tangent frames over GF(p).
 
-A probe takes s points (random ones, and coordinate planes where it may;
-see below), adds a basis of the affine tangent space at each point (the
-Plücker row plus (k+1)(n-k) tangent-frame generators, framed by
-grassmann.frame_rows) to one GF(p) basis, drawing no point once it spans
-every column, and compares its rank with the expected affine dimension.
-Hitting the expectation is a valid characteristic-0 certificate by
-semicontinuity; falling short is only circumstantial evidence of a
-defect, so such verdicts are inconclusive and retried with fresh seeds.
+A probe takes s points, some of them coordinate points, adds a basis of
+the affine tangent space at each point (the Plücker row plus (k+1)(n-k)
+tangent-frame generators, framed by grassmann.frame_rows) to one GF(p)
+basis, drawing no point once it spans every column, and compares its rank
+with the expected affine dimension.  Hitting the expectation is a valid
+characteristic-0 certificate by semicontinuity; falling short is only
+circumstantial evidence of a defect, so such verdicts are inconclusive
+and retried with fresh seeds.
 
-Coordinate structure is counted, not eliminated.  A coordinate span adds
-exactly the Plücker coordinates inside its support, and a coordinate point
-e_W exactly the e_T with |T ∩ W| >= k; against those unit vectors the rank
-is their number plus the rank of the other tangent rows with those columns
-deleted (a Schur complement, exact over every field).  So every probe
-counts one column mask (grassmann.counted_columns) and ranks the sampled
-rest, written only at the columns left.  Its coordinate points are the
-words of a monomial certificate (codes.monomial_certificate), a
-codes.CodeSet of weight k+1 and distance 6 whose words meet in at most
-k-2 indices, so their tangent columns are disjoint and the count alone,
-s·((k+1)(n-k)+1), needs no mask; the words of any other code go through
-the mask, and overlapping ones fall short.
-Otherwise they are the planes `_coordinate_planes` places: on the
-coordinates private to each point's constraint support (or, for free
-points, in no support or span), which a linear map fixing every support
-and span moves the first points of each class to.  Without constraints or
-spans these are W_j = {j(k+1), ..., j(k+1)+k} at points 0..m-1,
-m = min(s, (n+1) // (k+1)).  Each trial's rank keeps its law, and any
-configuration reaching the expected rank certifies it.
+Coordinate structure is counted, not eliminated.  Which points are
+coordinate points, which columns they and the extra spans count, and how
+wide and tall the sampled rest is ranked is decided in one place,
+`layout`; `probe` is that layout plus its trial loop.
 
 The verdict is derived from the ranks in one place, `Verdict.of`.  A
 cached probe record is replayed only if `replays` rebuilds the same record
@@ -41,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -262,15 +247,6 @@ def rank_points(points: Iterable[GrassPoint], p: int, basis: Echelon, keep: np.n
     return basis.rank
 
 
-def _certificate(problem: SecantProblem) -> codes.CodeSet | None:
-    """A monomial certificate of at least s words for the problem, or None."""
-    if problem.k < 2 or problem.extra_spans or any(c is not None for c in problem.point_constraints or ()):
-        return None
-    if problem.s * tangent_space_dim(problem.k, problem.n) > problem.ambient:
-        return None
-    return codes.monomial_certificate(problem.k, problem.n, problem.s)
-
-
 def _coordinate_planes(problem: SecantProblem) -> dict[int, tuple[int, ...]]:
     """The points a probe places, by index, each with its coordinate plane.
 
@@ -316,51 +292,90 @@ def _coordinate_planes(problem: SecantProblem) -> dict[int, tuple[int, ...]]:
     return placed
 
 
-def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | None = None) -> SpanVerdict:
-    """Run the prober; `strategy` is one of random, monomial, auto.
+class Layout(NamedTuple):
+    """What a probe places, counts and ranks; `layout` decides it."""
 
-    Some points are coordinate points: under monomial and auto, all s
-    words of a monomial certificate when one exists (CertificateUnavailable
-    under monomial without one); otherwise the planes `_coordinate_planes`
-    places.  Each trial's rank is the count of the columns they and the
-    extra spans add plus the rank of the tangent spaces at the other
-    points, drawn one at a time in index order and framed without those
-    columns (rank_points); a certificate draws no point and needs one
-    trial.  Nothing is held per point: the indices are drawn lazily, so
-    past full width a larger s is free.  The count is s·((k+1)(n-k)+1)
-    without a mask when the certificate is a CodeSet of weight k+1 and
-    distance at least 6, whose words codes.CodeSet has checked to meet
-    pairwise in at most k-2 indices, and the mask's otherwise.
+    placed: dict[int, tuple[int, ...]]  # the coordinate plane of each placed point, by index
+    count: int  # the columns the placed points and the extra spans add
+    keep: np.ndarray | None  # the columns the sampled points are ranked on; None for all
+    rows: int  # the most rows the sampled points add: each trial's basis is sized by it
+
+
+def layout(problem: SecantProblem, strategy: str = "random") -> Layout:
+    """Where a probe's coordinate points go, the columns they count, and the
+    width and rows the sampled rest is ranked at; `strategy` is one of
+    random, monomial, auto.
+
+    A coordinate span adds exactly the Plücker coordinates inside its
+    support, and a coordinate point e_W exactly the e_T with |T ∩ W| >= k.
+    Against those unit vectors the rank is their number plus the rank of
+    the other tangent rows with those columns deleted (a Schur complement,
+    exact over every field), so they are counted, never eliminated.  With
+    T = (k+1)(n-k)+1:
+    - placed: under monomial and auto, all s words of a monomial
+      certificate (codes.monomial_certificate) when one exists, which needs
+      k >= 2, no constraint or span and s·T <= ambient; monomial without
+      one raises CertificateUnavailable.  Otherwise the planes
+      `_coordinate_planes` places (its docstring shows why each trial's
+      rank keeps its law there): without constraints or spans
+      W_j = {j(k+1), ..., j(k+1)+k} at points 0..m-1,
+      m = min(s, (n+1) // (k+1)); for Prop. C up to ⌊(n-5)/3⌋ points on
+      L = {6..n} and two free points, for Prop. B up to two points on each
+      span, for Prop. A none.
+    - count and keep: a codes.CodeSet of weight k+1 and distance at least 6
+      has words that CodeSet has checked to meet pairwise in at most k-2
+      indices, so their tangent columns are disjoint and the count is s·T,
+      with no mask.  Anything else counts one column mask
+      (grassmann.counted_columns) and ranks its complement; overlapping
+      words count fewer and fall short.
+    - rows: (s - len(placed))·T.
 
     A problem with extra spans is a specialization: each constrained point
-    must lie in one of the spans, and ambient - achieved counts the
-    hyperplanes through the whole configuration.  Its points placed are
-    the first of each class that fit on the coordinates private to their
-    class: for Prop. C up to ⌊(n-5)/3⌋ points on L = {6..n} and two free
-    points, for Prop. B up to two points on each span, for Prop. A none.
+    must lie in one of the spans, or ValueError is raised, and
+    ambient - achieved counts the hyperplanes through the whole
+    configuration.
     """
     if strategy not in ("random", "monomial", "auto"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if problem.extra_spans:
-        for sub in problem.point_constraints or ():
-            if sub is not None and not any(set(sub.support) <= set(span.support) for span in problem.extra_spans):
+    k, n, s = problem.k, problem.n, problem.s
+    spans = [span.support for span in problem.extra_spans]
+    constraints = [sub for sub in problem.point_constraints or () if sub is not None]
+    if spans:
+        for sub in constraints:
+            if not any(set(sub.support) <= set(span) for span in spans):
                 raise ValueError(f"constraint support {sub.support} lies in no span")
+    T = tangent_space_dim(k, n)
+    code = None
+    if strategy != "random" and k >= 2 and not spans and not constraints and s * T <= problem.ambient:
+        code = codes.monomial_certificate(k, n, s)
+    if code is None and strategy == "monomial":
+        raise CertificateUnavailable(f"no monomial certificate for (k={k}, n={n}, s={s})")
+    placed = _coordinate_planes(problem) if code is None else dict(enumerate(code.words[:s]))
+    if code is not None and code.weight == k + 1 and code.distance >= 6:
+        count, keep = s * T, None
+    else:
+        counted = counted_columns(n + 1, k + 1, spans, placed.values())
+        count, keep = int(counted.sum()), ~counted
+    return Layout(placed, count, keep, (s - len(placed)) * T)
+
+
+def probe(problem: SecantProblem, strategy: str = "random", target_rank: int | None = None) -> SpanVerdict:
+    """Run the prober; `strategy` is one of random, monomial, auto.
+
+    The target is the expected affine dimension unless `target_rank` is
+    given.  `layout` places the coordinate points and counts their columns
+    with those of the extra spans.  Each trial's rank is that count plus
+    the rank of the tangent spaces at the other points, drawn one at a time
+    in index order and framed at the columns left (rank_points); trials run
+    until one reaches the target or `problem.trials` have run.  Nothing is
+    held per point: the indices are drawn lazily, so past full width a
+    larger s is free.
+    """
     expected = expected_affine_dim(problem.k, problem.n, problem.s) if target_rank is None else target_rank
     ambient = problem.ambient
     if not 0 <= expected <= ambient:
         raise ValueError(f"target rank {expected} out of range [0, {ambient}]")
-
-    code = _certificate(problem) if strategy != "random" else None
-    if code is None and strategy == "monomial":
-        raise CertificateUnavailable(f"no monomial certificate for (k={problem.k}, n={problem.n}, s={problem.s})")
-    placed = _coordinate_planes(problem) if code is None else dict(enumerate(code.words[: problem.s]))
-    spans = [span.support for span in problem.extra_spans]
-    if code is not None and code.weight == problem.k + 1 and code.distance >= 6:
-        count, keep = problem.s * tangent_space_dim(problem.k, problem.n), None
-    else:
-        counted = counted_columns(problem.n + 1, problem.k + 1, spans, placed.values())
-        count, keep = int(counted.sum()), ~counted
-    rows = (problem.s - len(placed)) * tangent_space_dim(problem.k, problem.n)
+    placed, count, keep, rows = layout(problem, strategy)
     constraints = problem.point_constraints
     best = 0
     trials_used = 0

@@ -29,6 +29,10 @@ the whole-trial stack that `terracini.rank_points` replaced by one frame
 per point.  `placed_planes` finds the private coordinates by its own set
 arithmetic, not by `terracini._coordinate_planes`.
 
+`layout_reference` decides a probe's placement, count, ranked columns
+and row bound from `placed_planes`, `codes.monomial_certificate` and
+`grassmann.counted_columns`, as `terracini.layout` does.
+
 `coordinate_point`, `subgrassmannian_span` and `span_unit_rows` build the
 coordinate points of a monomial certificate and the unit rows of a
 coordinate span, which `terracini.probe` and `induction.check_prop_a` now
@@ -53,6 +57,7 @@ from typing import Sequence
 
 import numpy as np
 
+from grsecant.codes import monomial_certificate
 from grsecant.extalg import Multivector, subset_rank, subsets_colex, wedge_vectors
 from grsecant.fieldcore import DEFAULT_PRIME, Echelon, rank_mod_p
 from grsecant.grassmann import (
@@ -60,6 +65,7 @@ from grsecant.grassmann import (
     CoordinateSubspace,
     GrassPoint,
     RankDrop,
+    counted_columns,
     frame_rows,
     random_point,
     tangent_space_dim,
@@ -178,6 +184,32 @@ def placed_planes(problem: SecantProblem) -> dict[int, tuple[int, ...]]:
         for j in range(min(len(indices), len(private) // d)):
             placed[indices[j]] = tuple(private[j * d : (j + 1) * d])
     return placed
+
+
+def layout_reference(problem: SecantProblem, strategy: str):
+    """(placed, count, keep, rows) of a probe, or None where `monomial` has no certificate.
+
+    Under monomial and auto, a problem with k >= 2, no constraint or span
+    and s·T <= ambient places the first s words of `monomial_certificate`,
+    if it returns a code; anything else places `placed_planes`.  The count
+    is that of the `counted_columns` mask, and the sampled points are
+    ranked on its complement, or on every column (keep None) for a
+    certificate whose mask counts s·T: its tangent columns are disjoint.
+    The row bound is T rows for each point not placed.
+    """
+    k, n, s = problem.k, problem.n, problem.s
+    T = tangent_space_dim(k, n)
+    free = not problem.extra_spans and all(c is None for c in problem.point_constraints or ())
+    code = None
+    if strategy != "random" and k >= 2 and free and s * T <= problem.ambient:
+        code = monomial_certificate(k, n, s)
+    if code is None and strategy == "monomial":
+        return None
+    placed = placed_planes(problem) if code is None else dict(enumerate(code.words[:s]))
+    mask = counted_columns(n + 1, k + 1, [span.support for span in problem.extra_spans], placed.values())
+    count = int(mask.sum())
+    keep = None if code is not None and count == s * T else ~mask
+    return placed, count, keep, (s - len(placed)) * T
 
 
 def trial_points(problem: SecantProblem, trial: int = 0) -> list[GrassPoint]:

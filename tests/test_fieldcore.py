@@ -358,6 +358,22 @@ class TestEchelonKernel:
         with pytest.raises(ValueError):
             rank_mod_p(np.eye(3, dtype=np.int64), MAX_PRIME + 2)
 
+    @pytest.mark.parametrize("p", [4, 9, 15, 32001, MAX_PRIME + 2, 7.0, True])
+    def test_refuses_a_modulus_that_is_not_a_prime_up_to_max_prime(self, p):
+        # Z/15 is not a field: [[2]] has no rank there, and [[3]] no pivot inverse.
+        for entry in (2, 3):
+            with pytest.raises(ValueError, match=f"modulus {p} is not a prime"):
+                rank_mod_p([[entry]], p)
+        with pytest.raises(ValueError, match=f"modulus {p} is not a prime"):
+            Echelon(4, 4, p)
+
+    @pytest.mark.parametrize("p", [2, 3, MAX_PRIME, np.int64(7)])
+    def test_prime_moduli_rank(self, p):
+        assert rank_mod_p([[1, 2], [3, 4]], p) == (1 if p == 2 else 2)  # determinant -2
+        basis = Echelon(2, 2, p)
+        assert type(basis.p) is int
+        assert rank_mod_p([[p, 2 * p], [1, 1]], p, basis) == basis.rank == 1
+
     @pytest.mark.parametrize(
         "k, n, s, achieved, expected",
         [(2, 6, 3, 34, 35), (3, 7, 3, 50, 51), (3, 7, 4, 64, 68), (2, 8, 4, 74, 76)],

@@ -5,7 +5,8 @@ somewhere in the package outside its own body, exported through
 `grsecant.__all__`, or a click command, and every imported name is read
 where it is imported, exported, or marked `# noqa: F401`.  Helpers that
 only tests call belong in tests/oracle.py.  Importing `grsecant.cli` loads
-only the standard library, numpy, click and grsecant itself.
+only the standard library, numpy, click and grsecant itself.  Every source
+file parses as Python 3.10, the oldest version pyproject.toml accepts.
 """
 
 import ast
@@ -82,3 +83,14 @@ def test_cli_import_loads_only_stdlib_numpy_and_click():
     modules = loaded.stdout.split()
     assert "numpy" in modules and "grsecant" in modules
     assert [m for m in modules if m not in sys.stdlib_module_names and m not in ("numpy", "click", "grsecant")] == []
+
+
+def test_sources_parse_at_the_oldest_supported_python():
+    # Syntax newer than requires-python would fail the 3.10 CI legs at import,
+    # before any test runs, while passing on a newer interpreter.
+    root = Path(__file__).resolve().parents[1]
+    assert 'requires-python = ">=3.10"' in (root / "pyproject.toml").read_text(encoding="utf-8")
+    paths = sorted(path for top in ("src", "tests", "benchmarks") for path in (root / top).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

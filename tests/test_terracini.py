@@ -10,6 +10,7 @@ from oracle import (
     basis_frame,
     coordinate_point,
     full_frame,
+    layout_reference,
     monomial_tangent_basis,
     placed_planes,
     reference_point,
@@ -754,6 +755,54 @@ class TestPlacement:
 
         for strategy in ("random", "auto", "monomial"):
             assert outcome(free, strategy) == outcome(problem, strategy), strategy
+
+
+class TestLayout:
+    """`layout` alone decides what a probe places, counts and ranks."""
+
+    def problems(self, monkeypatch):
+        # The acceptance grid (every small-grid benchmark problem), the
+        # certify_theorem(14) base cases and the two threshold probes.
+        yield from (SecantProblem(k, n, s) for k, n, s in TestCountedRanks.ACCEPTANCE_GRID)
+        yield from (problem for problem, _ in _captured_probes(monkeypatch, lambda: certify_theorem(14)))
+        yield SecantProblem(2, 20, 21)
+        yield SecantProblem(2, 20, 27)
+
+    def test_matches_the_oracle(self, monkeypatch):
+        seen = collections.Counter()
+        for problem in self.problems(monkeypatch):
+            for strategy in ("random", "monomial", "auto"):
+                want = layout_reference(problem, strategy)
+                if want is None:
+                    with pytest.raises(CertificateUnavailable):
+                        terracini.layout(problem, strategy)
+                    seen["unavailable"] += 1
+                    continue
+                placed, count, keep, rows = terracini.layout(problem, strategy)
+                assert (placed, count, rows) == (want[0], want[1], want[3]), (problem, strategy)
+                if keep is None or want[2] is None:
+                    assert keep is want[2] is None, (problem, strategy)
+                    seen["unmasked"] += 1
+                else:
+                    assert np.array_equal(keep, want[2]), (problem, strategy)
+                    seen["masked"] += 1
+        assert min(seen.values()) > 20 and len(seen) == 3, seen
+
+    def test_each_probe_decides_its_layout_once(self, monkeypatch):
+        L = CoordinateSubspace(11, tuple(range(6, 12)))
+        cases = [
+            (SecantProblem(2, 6, 3), "random"),  # defective: all three trials run
+            (SecantProblem(2, 12, 4), "monomial"),
+            (SecantProblem(3, 9, 6), "auto"),  # no certificate: planes and sampled points
+            (SecantProblem(2, 20, 27), "auto"),
+            (SecantProblem(2, 11, 4, point_constraints=(L, L, None, None), extra_spans=(L,)), "random"),
+        ]
+        calls = []
+        decide = terracini.layout
+        monkeypatch.setattr(terracini, "layout", lambda *args: calls.append(args) or decide(*args))
+        verdicts = [probe(problem, strategy=strategy) for problem, strategy in cases]
+        assert calls == cases
+        assert verdicts[0].trials_used == 3
 
 
 class TestSpecialization:
